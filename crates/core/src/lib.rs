@@ -41,9 +41,9 @@ pub mod wst;
 pub use group::{Group, GroupId, GroupStatus};
 pub use mask::Mask;
 pub use policy::{BranchHandling, DwsConfig, MemSplit, Policy, ReconvMode, SlipConfig};
-pub use regfile::{LaneView, RegFile};
+pub use regfile::RegFile;
 pub use stats::WpuStats;
 pub use trace::{TraceEvent, Tracer};
 pub use warp::{Frame, Warp};
-pub use wpu::{MemPorts, TickClass, Wpu, WpuConfig};
+pub use wpu::{TickClass, Wpu, WpuConfig};
 pub use wst::WstAccounting;

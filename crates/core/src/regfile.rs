@@ -5,9 +5,9 @@
 //! `Vec`s and re-matched the instruction per lane. [`RegFile`] stores one
 //! contiguous block per warp, indexed `[reg * lanes + lane]`, so a warp-wide
 //! kernel touching one register row streams over adjacent words — and the
-//! per-lane oracle still gets a mutable lane view ([`RegFile::lane`])
-//! implementing [`LaneRegs`], sharing the interpreter in `dws-isa` instead
-//! of duplicating it.
+//! per-lane oracle gets a read-only lane view (`ShadowLane`) implementing
+//! [`LaneRegs`], sharing the interpreter in `dws-isa` instead of
+//! duplicating it.
 
 use dws_isa::{LaneRegs, Reg};
 
@@ -52,14 +52,6 @@ impl RegFile {
         self.regs[reg as usize * self.lanes + lane] = v;
     }
 
-    /// A mutable single-lane view implementing [`LaneRegs`] — the legacy
-    /// per-lane execution path runs through this.
-    #[inline]
-    pub fn lane(&mut self, lane: usize) -> LaneView<'_> {
-        debug_assert!(lane < self.lanes);
-        LaneView { rf: self, lane }
-    }
-
     /// A read-only single-lane view that records the register write instead
     /// of applying it (differential oracle: debug builds and `DWS_SANITIZE`
     /// release runs).
@@ -73,27 +65,9 @@ impl RegFile {
     }
 }
 
-/// One lane of a [`RegFile`], as seen by the per-lane interpreter.
-#[derive(Debug)]
-pub struct LaneView<'a> {
-    rf: &'a mut RegFile,
-    lane: usize,
-}
-
-impl LaneRegs for LaneView<'_> {
-    #[inline(always)]
-    fn reg(&self, r: Reg) -> u64 {
-        self.rf.get(r.0, self.lane)
-    }
-    #[inline(always)]
-    fn set_reg(&mut self, r: Reg, v: u64) {
-        self.rf.set(r.0, self.lane, v);
-    }
-}
-
 /// A read-only lane view that captures the (single) register write of one
 /// instruction instead of performing it. Used by the differential oracle to
-/// precompute the legacy path's effect *before* the warp-wide kernel
+/// precompute the per-lane interpreter's effect *before* the warp-wide kernel
 /// mutates the file, then assert the kernel produced the same value.
 pub(crate) struct ShadowLane<'a> {
     rf: &'a RegFile,
@@ -125,7 +99,6 @@ impl LaneRegs for ShadowLane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dws_isa::execute_lane;
 
     #[test]
     fn preloads_tid_and_nthreads() {
@@ -144,28 +117,10 @@ mod tests {
         assert_eq!(rf.get(0, 3), 3);
     }
 
-    #[test]
-    fn lane_view_runs_the_interpreter() {
-        use dws_isa::{AluOp, Inst, Operand, Reg, StepOutcome};
-        let mut rf = RegFile::new(3, 4, 0, 4);
-        let inst = Inst::Alu {
-            op: AluOp::Add,
-            dst: Reg(2),
-            a: Operand::Reg(Reg(0)),
-            b: Operand::Imm(10),
-        };
-        for l in 0..4 {
-            assert_eq!(execute_lane(&mut rf.lane(l), &inst), StepOutcome::Next);
-        }
-        for l in 0..4 {
-            assert_eq!(rf.get(2, l), 10 + l as u64, "lane {l}");
-        }
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     fn shadow_lane_captures_without_mutating() {
-        use dws_isa::{Inst, Operand, Reg, UnOp};
+        use dws_isa::{execute_lane, Inst, Operand, Reg, UnOp};
         let rf = RegFile::new(3, 2, 5, 2);
         let inst = Inst::Un {
             op: UnOp::Mov,

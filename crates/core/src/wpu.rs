@@ -16,7 +16,7 @@ use crate::trace::{TraceEvent, Tracer};
 use crate::warp::{Frame, Warp};
 use crate::wst::WstAccounting;
 use dws_engine::fault::{FaultInjector, FaultPlan};
-use dws_engine::{Component, Cycle, FastHashMap, Phase, ReadyRing, WakeHeap};
+use dws_engine::{Cycle, FastHashMap, Phase, ReadyRing, WakeHeap};
 use dws_isa::cfg::RECONV_NONE;
 use dws_isa::{execute_lane, CondOp, ExecOp, MemoryAccess, Program, Reg, Src, StepOutcome};
 use dws_mem::{
@@ -42,9 +42,10 @@ pub struct WpuConfig {
     /// Warp-split table entries (paper Section 6.7; 16 by default).
     pub wst_entries: usize,
     /// Geometry of the WPU-local L1 instruction cache. The array lives in
-    /// the WPU (not the shared memory system) so the parallel compute
-    /// phase can probe it without synchronization; only miss fill latency
-    /// goes through the shared crossbar/L2 model, at commit time.
+    /// the WPU (not the shared memory system) so the compute phase
+    /// ([`Wpu::tick_compute`]) can probe it as WPU-local state; only miss
+    /// fill latency goes through the shared crossbar/L2 model, at commit
+    /// time.
     pub l1i: CacheConfig,
 }
 
@@ -88,12 +89,12 @@ enum PreIssue {
 
 /// Where an issue routes its shared-memory-system interaction.
 ///
-/// `Direct` is the serial engine: the issue talks to the memory system
-/// immediately. `Defer` is the parallel compute phase: the shared system
-/// is off-limits, so the first memory interaction suspends the tick as a
-/// [`PendingIssue`] for the commit phase to resume. Everything up to that
-/// point is WPU-local and identical between the two, which is what makes
-/// compute-in-parallel / commit-in-order bit-identical to serial ticking.
+/// `Direct` is [`Wpu::tick`]: the issue talks to the memory system
+/// immediately. `Defer` is the compute phase ([`Wpu::tick_compute`]): the
+/// shared system is off-limits, so the first memory interaction suspends
+/// the tick as a [`PendingIssue`] for the commit phase to resume.
+/// Everything up to that point is WPU-local and identical between the
+/// two, which is what makes compute-then-commit bit-identical to `tick`.
 enum MemPort<'a> {
     Direct(&'a mut MemorySystem, &'a mut dyn MemoryAccess),
     Defer,
@@ -121,11 +122,11 @@ enum IssueOutcome {
     Exhausted,
 }
 
-/// The memory interaction a suspended compute phase parked, resumed in
-/// WPU-index order by [`Wpu::tick_commit`]. Only the group identity is
-/// recorded: the group's own state (PC, mask) is untouched between
-/// suspension and resume, so the commit re-derives everything else and
-/// replays the exact serial path.
+/// The memory interaction a suspended compute phase parked, resumed by
+/// [`Wpu::tick_commit`]. Only the group identity is recorded: the group's
+/// own state (PC, mask) is untouched between suspension and resume, so
+/// the commit re-derives everything else and replays the exact `tick`
+/// path.
 #[derive(Debug, Clone, Copy)]
 enum PendingIssue {
     /// An I-cache miss: the line is already installed locally; the fill
@@ -237,13 +238,6 @@ pub struct Wpu {
     /// Lanes parked at the global barrier (== the old `barrier_waiting`
     /// scan).
     barrier_lanes: u64,
-    /// Test hook: route picks through the reference slab scan instead of
-    /// the ready ring (the indexes are still maintained either way).
-    use_scan_scheduler: bool,
-    /// Execute through the predecoded warp-wide µop kernels (the default).
-    /// Off routes every lane through the legacy per-lane interpreter —
-    /// kept as the differential oracle, like `use_scan_scheduler`.
-    use_uop_engine: bool,
     /// Cross-check fast paths against their oracles (scheduler-index sync,
     /// µop-vs-interpreter agreement) — always on in debug builds, and on
     /// in release under `DWS_SANITIZE=1`; latched at construction.
@@ -251,8 +245,8 @@ pub struct Wpu {
     /// Deterministic timing-fault injection; `None` outside chaos runs.
     fault: Option<FaultInjector>,
     /// The WPU-local L1 instruction cache (paper Table 3). Lives here —
-    /// not in the shared [`MemorySystem`] — so the parallel compute phase
-    /// can probe and fill it without touching shared state.
+    /// not in the shared [`MemorySystem`] — so the compute phase can probe
+    /// and fill it without touching shared state.
     icache: CacheArray,
     /// `log2(l1i.line_bytes)` when that is a power of two, so the
     /// PC-to-line conversion is a shift instead of a 64-bit divide.
@@ -277,12 +271,6 @@ pub struct Wpu {
     /// share a register file view, so "uniform" registers may differ per
     /// lane). Disables the uniform-branch fast path for that warp.
     uniform_poisoned: Vec<bool>,
-    /// Let the scheduler consume the uniformity classification: uniform
-    /// branches evaluate one representative lane instead of the full warp
-    /// and can never diverge. Cycle-identical by construction (the taken
-    /// mask is provably warp-wide either way); on by default, with the
-    /// differential test pinning the equivalence.
-    use_uniform_hints: bool,
     /// Statistics for this WPU.
     pub stats: WpuStats,
 }
@@ -370,8 +358,6 @@ impl Wpu {
             n_slotted_ready: 0,
             n_wait_mem: 0,
             barrier_lanes: 0,
-            use_scan_scheduler: false,
-            use_uop_engine: true,
             check_oracle: cfg!(debug_assertions) || dws_engine::sanitize::enabled(),
             fault: None,
             icache: CacheArray::new(&cfg.l1i),
@@ -386,7 +372,6 @@ impl Wpu {
             uniform_branch: uniformity.uniform,
             spine_branch: uniformity.spine,
             uniform_poisoned: vec![false; cfg.n_warps],
-            use_uniform_hints: true,
             stats: WpuStats::default(),
             program: Arc::clone(&program),
             cfg,
@@ -443,43 +428,11 @@ impl Wpu {
         self.barrier_lanes
     }
 
-    /// Test hook: route group selection through the reference slab scan
-    /// instead of the ready ring. The indexes are maintained either way,
-    /// so the oracle property test can compare full-run behavior.
-    #[doc(hidden)]
-    pub fn set_scan_scheduler(&mut self, on: bool) {
-        self.use_scan_scheduler = on;
-    }
-
-    /// Test hook: route execution through the legacy per-lane interpreter
-    /// (`off`) instead of the predecoded warp-wide µop kernels (`on`, the
-    /// default). Both paths are bit-identical; debug builds additionally
-    /// cross-check the µop engine against the per-lane oracle on every
-    /// executed instruction.
-    #[doc(hidden)]
-    pub fn set_uop_engine(&mut self, on: bool) {
-        self.use_uop_engine = on;
-    }
-
-    /// Test hook: disable the verifier-uniformity branch fast path (on by
-    /// default). Both settings are cycle- and result-identical; the
-    /// differential test pins the equivalence and that the warp-split
-    /// table peak never increases with the hints on.
-    #[doc(hidden)]
-    pub fn set_uniform_hints(&mut self, on: bool) {
-        self.use_uniform_hints = on;
-    }
-
     /// Arms deterministic fault injection (wake jitter, scheduler-heap
     /// churn). Each WPU draws from its own stream, salted by its id; a
     /// zero-fault plan installs nothing and leaves timing untouched.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = plan.injector(0x5750_5500 + self.cfg.id as u64);
-    }
-
-    /// Whether any thread is blocked on an outstanding memory request.
-    pub fn any_mem_pending(&self) -> bool {
-        !self.req_map.is_empty()
     }
 
     /// Live SIMD groups (full warps and splits).
@@ -922,10 +875,9 @@ impl Wpu {
     // ---- the cycle ----------------------------------------------------------
 
     /// Advances the WPU by one cycle. `data` is the functional backing
-    /// store shared by all WPUs. This is the serial engine — identical to
-    /// running [`tick_compute`](Self::tick_compute) followed (when it
-    /// suspends) by [`tick_commit`](Self::tick_commit), which is exactly
-    /// what the parallel run loop does.
+    /// store shared by all WPUs. Identical to running
+    /// [`tick_compute`](Self::tick_compute) followed (when it suspends) by
+    /// [`tick_commit`](Self::tick_commit).
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -938,13 +890,13 @@ impl Wpu {
         }
     }
 
-    /// The parallel compute phase: advances the WPU by one cycle touching
-    /// only WPU-local state (including its private L1-I). Returns
+    /// The compute phase: advances the WPU by one cycle touching only
+    /// WPU-local state (including its private L1-I). Returns
     /// [`Phase::NeedsCommit`] when the tick reaches a shared-memory-system
     /// interaction; the caller must then invoke
-    /// [`tick_commit`](Self::tick_commit) — serially, in WPU-index order —
-    /// to finish the cycle. Compute phases of different WPUs share no
-    /// mutable state, so they may run concurrently.
+    /// [`tick_commit`](Self::tick_commit) — across WPUs, in WPU-index
+    /// order — to finish the cycle. Compute phases of different WPUs share
+    /// no mutable state.
     pub fn tick_compute(&mut self, now: Cycle) -> Phase<TickClass> {
         debug_assert!(self.pending_issue.is_none(), "compute with parked issue");
         self.tick_phase(now, &mut MemPort::Defer)
@@ -953,7 +905,7 @@ impl Wpu {
     /// Finishes a suspended [`tick_compute`](Self::tick_compute): resumes
     /// the parked memory interaction against the shared system, then
     /// continues the issue loop in direct mode — replaying exactly what
-    /// the serial [`tick`](Self::tick) would have done from that point.
+    /// [`tick`](Self::tick) would have done from that point.
     pub fn tick_commit(
         &mut self,
         now: Cycle,
@@ -1140,13 +1092,9 @@ impl Wpu {
     }
 
     /// Round-robin over slotted ready groups, via the ready ring. Pending
-    /// groups whose wake time has come surface into the ring first; a
-    /// debug-build oracle checks each pick against the slab scan this
-    /// replaced.
+    /// groups whose wake time has come surface into the ring first; with
+    /// the oracle on, each pick is checked against the reference slab scan.
     fn pick_group(&mut self, now: Cycle) -> Option<GroupId> {
-        if self.use_scan_scheduler {
-            return self.pick_group_scan(now);
-        }
         self.surface_ready(now);
         let picked = self.ready.next_from(self.rr_cursor);
         if self.check_oracle {
@@ -1161,17 +1109,8 @@ impl Wpu {
         Some(GroupId(i))
     }
 
-    /// The reference implementation `pick_group` replaced: a modular slab
-    /// scan from the round-robin cursor. Kept as the oracle for the
-    /// debug-build pick assertion and the randomized equivalence test.
-    fn pick_group_scan(&mut self, now: Cycle) -> Option<GroupId> {
-        self.surface_ready(now); // keep the ring in lockstep for the oracle
-        let gid = self.scan_next_issuable(now)?;
-        self.rr_cursor = (gid.0 + 1) % self.groups.len();
-        Some(gid)
-    }
-
-    /// First issuable group at or after the round-robin cursor, by slab
+    /// The reference for [`pick_group`](Self::pick_group): the first
+    /// issuable group at or after the round-robin cursor, by modular slab
     /// scan; does not advance the cursor.
     fn scan_next_issuable(&self, now: Cycle) -> Option<GroupId> {
         let n = self.groups.len();
@@ -1792,12 +1731,11 @@ impl Wpu {
         }
     }
 
-    /// Executes an ALU/Un/Set instruction across the active lanes: through
-    /// the warp-wide kernels (one opcode dispatch for the whole warp) or,
-    /// with the µop engine off, through the legacy per-lane interpreter.
+    /// Executes an ALU/Un/Set instruction across the active lanes through
+    /// the warp-wide kernels (one opcode dispatch for the whole warp).
     /// With the oracle on (debug builds, `DWS_SANITIZE=1`), every lane's
-    /// legacy result is precomputed *before* the kernel runs (the
-    /// destination may alias a source) and the engines must agree.
+    /// per-lane-interpreter result is precomputed *before* the kernel runs
+    /// (the destination may alias a source) and the two must agree.
     fn exec_compute(&mut self, warp: usize, pc: usize, mask: Mask, op: ExecOp) {
         // Fixed-size capture (a mask holds at most 64 lanes), so the
         // oracle does not allocate — the zero-alloc steady-state guard also
@@ -1817,21 +1755,12 @@ impl Wpu {
         } else {
             None
         };
-        if self.use_uop_engine {
-            let rf = &mut self.warps[warp].regs;
-            match op {
-                ExecOp::Alu { op, dst, a, b, .. } => exec::exec_alu(rf, mask, op, dst, a, b),
-                ExecOp::Un { op, dst, a, .. } => exec::exec_un(rf, mask, op, dst, a),
-                ExecOp::Set { cond, dst, a, b } => exec::exec_set(rf, mask, cond, dst, a, b),
-                _ => unreachable!("exec_compute on non-compute µop"),
-            }
-        } else {
-            let inst = *self.program.inst(pc);
-            let rf = &mut self.warps[warp].regs;
-            for lane in mask.iter() {
-                let out = execute_lane(&mut rf.lane(lane), &inst);
-                debug_assert_eq!(out, StepOutcome::Next);
-            }
+        let rf = &mut self.warps[warp].regs;
+        match op {
+            ExecOp::Alu { op, dst, a, b, .. } => exec::exec_alu(rf, mask, op, dst, a, b),
+            ExecOp::Un { op, dst, a, .. } => exec::exec_un(rf, mask, op, dst, a),
+            ExecOp::Set { cond, dst, a, b } => exec::exec_set(rf, mask, cond, dst, a, b),
+            _ => unreachable!("exec_compute on non-compute µop"),
         }
         if let Some(expected) = &expected {
             let rf = &self.warps[warp].regs;
@@ -1866,57 +1795,40 @@ impl Wpu {
         if self.spine_branch[pc] {
             self.group_mut(gid).spine_trips += 1;
         }
-        let taken = if self.use_uop_engine {
-            let uniform =
-                self.use_uniform_hints && self.uniform_branch[pc] && !self.uniform_poisoned[warp];
-            let taken = if uniform {
-                // Verifier-proven uniform branch: the condition reads no
-                // thread-varying register, so one representative lane
-                // decides for the whole mask. Cycle-identical by
-                // construction — the full-warp evaluation would produce
-                // either `mask` or the empty mask — and the per-lane
-                // oracle below still checks every lane.
-                self.stats.uniform_fast_branches.incr();
-                let probe = Mask::lane(mask.first().expect("nonempty issue mask"));
-                if exec::branch_taken(&self.warps[warp].regs, probe, cond, a, b).is_empty() {
-                    Mask::EMPTY
-                } else {
-                    mask
-                }
+        let taken = if self.uniform_branch[pc] && !self.uniform_poisoned[warp] {
+            // Verifier-proven uniform branch: the condition reads no
+            // thread-varying register, so one representative lane decides
+            // for the whole mask. Cycle-identical by construction — the
+            // full-warp evaluation would produce either `mask` or the
+            // empty mask — and the per-lane oracle below still checks
+            // every lane.
+            self.stats.uniform_fast_branches.incr();
+            let probe = Mask::lane(mask.first().expect("nonempty issue mask"));
+            if exec::branch_taken(&self.warps[warp].regs, probe, cond, a, b).is_empty() {
+                Mask::EMPTY
             } else {
-                exec::branch_taken(&self.warps[warp].regs, mask, cond, a, b)
-            };
-            if self.check_oracle {
-                let inst = self.program.inst(pc);
-                let rf = &self.warps[warp].regs;
-                let mut expect = Mask::EMPTY;
-                for lane in mask.iter() {
-                    let mut sh = rf.shadow(lane);
-                    match execute_lane(&mut sh, inst) {
-                        StepOutcome::Jump(_) => expect.set(lane),
-                        StepOutcome::Next => {}
-                        other => unreachable!("branch produced {other:?}"),
-                    }
-                }
-                assert_eq!(
-                    taken, expect,
-                    "µop taken mask diverged from per-lane oracle at pc {pc}"
-                );
+                mask
             }
-            taken
         } else {
-            let inst = *self.program.inst(pc);
-            let rf = &mut self.warps[warp].regs;
-            let mut taken = Mask::EMPTY;
+            exec::branch_taken(&self.warps[warp].regs, mask, cond, a, b)
+        };
+        if self.check_oracle {
+            let inst = self.program.inst(pc);
+            let rf = &self.warps[warp].regs;
+            let mut expect = Mask::EMPTY;
             for lane in mask.iter() {
-                match execute_lane(&mut rf.lane(lane), &inst) {
-                    StepOutcome::Jump(_) => taken.set(lane),
+                let mut sh = rf.shadow(lane);
+                match execute_lane(&mut sh, inst) {
+                    StepOutcome::Jump(_) => expect.set(lane),
                     StepOutcome::Next => {}
                     other => unreachable!("branch produced {other:?}"),
                 }
             }
-            taken
-        };
+            assert_eq!(
+                taken, expect,
+                "µop taken mask diverged from per-lane oracle at pc {pc}"
+            );
+        }
         let fallthrough = mask - taken;
         let divergent = !taken.is_empty() && !fallthrough.is_empty();
         self.stats.on_branch(divergent);
@@ -2069,50 +1981,41 @@ impl Wpu {
         // Decode per-lane addresses (no functional effect yet): one µop
         // dispatch for the whole warp, with the register row streamed out
         // of the SoA file.
-        if self.use_uop_engine {
-            let rf = &self.warps[warp].regs;
-            match op {
-                ExecOp::Load { dst, base, offset } => {
-                    for lane in mask.iter() {
-                        let addr = rf.get(base, lane).wrapping_add(offset);
-                        ops.push((
-                            lane,
-                            StepOutcome::Load {
-                                addr,
-                                dst: Reg(dst),
-                            },
-                        ));
-                    }
-                }
-                ExecOp::Store { src, base, offset } => {
-                    for lane in mask.iter() {
-                        let addr = rf.get(base, lane).wrapping_add(offset);
-                        let value = match src {
-                            Src::Reg(r) => rf.get(r, lane),
-                            Src::Imm(v) => v,
-                        };
-                        ops.push((lane, StepOutcome::Store { addr, value }));
-                    }
-                }
-                _ => unreachable!("exec_memory on non-memory µop"),
-            }
-            if self.check_oracle {
-                let inst = self.program.inst(pc);
-                for &(lane, out) in &ops {
-                    let mut sh = rf.shadow(lane);
-                    let expect = execute_lane(&mut sh, inst);
-                    assert_eq!(
-                        out, expect,
-                        "µop address generation diverged from per-lane oracle at pc {pc} lane {lane}"
-                    );
+        let rf = &self.warps[warp].regs;
+        match op {
+            ExecOp::Load { dst, base, offset } => {
+                for lane in mask.iter() {
+                    let addr = rf.get(base, lane).wrapping_add(offset);
+                    ops.push((
+                        lane,
+                        StepOutcome::Load {
+                            addr,
+                            dst: Reg(dst),
+                        },
+                    ));
                 }
             }
-        } else {
-            let inst = *self.program.inst(pc);
-            let rf = &mut self.warps[warp].regs;
-            for lane in mask.iter() {
-                let out = execute_lane(&mut rf.lane(lane), &inst);
-                ops.push((lane, out));
+            ExecOp::Store { src, base, offset } => {
+                for lane in mask.iter() {
+                    let addr = rf.get(base, lane).wrapping_add(offset);
+                    let value = match src {
+                        Src::Reg(r) => rf.get(r, lane),
+                        Src::Imm(v) => v,
+                    };
+                    ops.push((lane, StepOutcome::Store { addr, value }));
+                }
+            }
+            _ => unreachable!("exec_memory on non-memory µop"),
+        }
+        if self.check_oracle {
+            let inst = self.program.inst(pc);
+            for &(lane, out) in &ops {
+                let mut sh = rf.shadow(lane);
+                let expect = execute_lane(&mut sh, inst);
+                assert_eq!(
+                    out, expect,
+                    "µop address generation diverged from per-lane oracle at pc {pc} lane {lane}"
+                );
             }
         }
         accesses.extend(ops.iter().map(|&(lane, out)| match out {
@@ -2179,7 +2082,7 @@ impl Wpu {
                         self.warps[warp].threads[o.lane].pending = Some(request);
                         self.warps[warp].threads[o.lane].miss_count += 1;
                         self.req_map.insert(request, (warp, o.lane));
-                        let line = a.addr / 128;
+                        let line = mem.line_of(a.addr);
                         if !miss_lines.contains(&line) {
                             miss_lines.push(line);
                         }
@@ -2518,33 +2421,5 @@ impl Wpu {
             let _ = writeln!(s, "warp {} stack={:?} halted={}", w.id, w.stack, w.halted);
         }
         s
-    }
-}
-
-/// The shared-system half of a WPU's [`Component`] step: the timed memory
-/// hierarchy plus the functional backing store.
-pub struct MemPorts<'a> {
-    /// The timed cache hierarchy shared by all WPUs.
-    pub mem: &'a mut MemorySystem,
-    /// The functional data memory shared by all WPUs.
-    pub data: &'a mut dyn MemoryAccess,
-}
-
-impl<'a> Component<MemPorts<'a>> for Wpu {
-    type Tick = TickClass;
-
-    fn next_tick(&self) -> Option<Cycle> {
-        match (self.cached_next_wake(), self.next_adapt_boundary()) {
-            (Some(w), Some(a)) => Some(w.min(a)),
-            (w, a) => w.or(a),
-        }
-    }
-
-    fn compute(&mut self, now: Cycle) -> Phase<TickClass> {
-        self.tick_compute(now)
-    }
-
-    fn commit(&mut self, now: Cycle, sys: &mut MemPorts<'a>) -> TickClass {
-        self.tick_commit(now, sys.mem, sys.data)
     }
 }

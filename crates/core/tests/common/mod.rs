@@ -1,10 +1,6 @@
-//! Shared randomized-kernel machinery for the differential test suites
-//! (`random_policies`, `uop_differential`): a tiny structured-program AST,
-//! a deterministic generator over it, and a compiler into kernel IR.
-//!
-//! Each test binary compiles this module independently and uses a different
-//! subset, so unused items are expected.
-#![allow(dead_code)]
+//! Randomized-kernel machinery for the `random_policies` differential
+//! suite: a tiny structured-program AST, a deterministic generator over
+//! it, and a compiler into kernel IR.
 
 use dws_core::{MemSplit, Policy};
 use dws_engine::rng::Rng64;

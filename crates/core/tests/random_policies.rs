@@ -5,41 +5,44 @@
 //! of the simulator: subdivision, re-convergence, slip and barrier logic
 //! may change timing, never results. Kernels are generated from the
 //! vendored deterministic PRNG, so any failing seed reproduces exactly.
+//!
+//! Every WPU here is built with the sanitizer forced on, so in release as
+//! in debug each scheduler pick is checked against the slab scan and each
+//! µop against the per-lane interpreter, in situ: a fast-path bug fails at
+//! the offending pick / pc / lane instead of as a shifted fingerprint.
+//! Alternate seeds are also driven through the `tick_compute` /
+//! `tick_commit` split, which must be indistinguishable from `tick`.
 
 mod common;
 
 use common::{all_policies, compile, gen_block, MEM_WORDS};
 use dws_core::{Policy, TickClass, Wpu, WpuConfig};
 use dws_engine::rng::Rng64;
-use dws_engine::Cycle;
+use dws_engine::{Cycle, Phase};
 use dws_isa::{Program, ReferenceRunner, VecMemory};
 use dws_mem::{MemConfig, MemorySystem};
 use std::sync::Arc;
-
-/// Runs the program on a 2-warp, 8-wide WPU under `policy`.
-fn run_policy(program: &Program, policy: Policy, mem0: &VecMemory) -> VecMemory {
-    run_policy_with(program, policy, mem0, false).0
-}
 
 /// Observable fingerprint of one WPU-level run: final memory, end cycle,
 /// and the stall/issue/split accounting the figures are built from.
 type RunFingerprint = (VecMemory, u64, [u64; 7]);
 
-/// As [`run_policy`], optionally forcing the legacy linear-scan scheduler
-/// ([`Wpu::set_scan_scheduler`]) instead of the ready-ring + wake-heap.
-fn run_policy_with(
-    program: &Program,
+/// Runs the program on a sanitized 2-warp, 8-wide WPU under `policy`,
+/// ticking through [`Wpu::tick`] or — with `split` — through
+/// [`Wpu::tick_compute`] followed, when it suspends, by
+/// [`Wpu::tick_commit`]. Also returns the uniform-branch fast-path count.
+fn run_policy(
+    program: &Arc<Program>,
     policy: Policy,
     mem0: &VecMemory,
-    scan: bool,
-) -> RunFingerprint {
-    let program = Arc::new(program.clone());
+    split: bool,
+) -> (RunFingerprint, u64) {
     let mut cfg = WpuConfig::paper(0, policy);
     cfg.n_warps = 2;
     cfg.width = 8;
     cfg.sched_slots = 4;
-    let mut wpu = Wpu::new(cfg, program, 0, 16);
-    wpu.set_scan_scheduler(scan);
+    dws_engine::sanitize::force(true);
+    let mut wpu = Wpu::new(cfg, Arc::clone(program), 0, 16);
     let mut mem = MemorySystem::new(MemConfig::paper(1, 8));
     let mut data = mem0.clone();
     let mut now = Cycle(0);
@@ -47,7 +50,15 @@ fn run_policy_with(
         for c in mem.drain_completions(now) {
             wpu.on_completion(c.request, c.at);
         }
-        if let TickClass::Done = wpu.tick(now, &mut mem, &mut data) {
+        let class = if split {
+            match wpu.tick_compute(now) {
+                Phase::Complete(class) => class,
+                Phase::NeedsCommit => wpu.tick_commit(now, &mut mem, &mut data),
+            }
+        } else {
+            wpu.tick(now, &mut mem, &mut data)
+        };
+        if class == TickClass::Done {
             break;
         }
         let live = wpu.live_threads();
@@ -67,7 +78,7 @@ fn run_policy_with(
         s.mem_splits.get(),
         s.revive_splits.get(),
     ];
-    (data, now.raw(), fp)
+    ((data, now.raw(), fp), s.uniform_fast_branches.get())
 }
 
 fn output_region(mem: &VecMemory) -> &[u64] {
@@ -76,12 +87,13 @@ fn output_region(mem: &VecMemory) -> &[u64] {
 
 #[test]
 fn random_kernels_agree_across_policies() {
+    let mut total_fast = 0u64;
     for seed in 0..24u64 {
         let mut rng = Rng64::new(0xD1575EED ^ seed);
         let mut budget = 24usize;
         let top_len = 1 + rng.range_usize(7);
         let stmts = gen_block(&mut rng, 3, top_len, &mut budget);
-        let program = compile(&stmts);
+        let program = Arc::new(compile(&stmts));
         let mem0 = VecMemory::new(MEM_WORDS as u64 * 8);
         // Reference: lockstep-free execution.
         let mut reference = mem0.clone();
@@ -90,53 +102,30 @@ fn random_kernels_agree_across_policies() {
             .run(&mut reference)
             .expect("reference terminates");
         for policy in all_policies() {
-            let out = run_policy(&program, policy, &mem0);
+            let ctx = format!("seed {seed} policy {}", policy.paper_name());
+            let (ticked, fast) = run_policy(&program, policy, &mem0, false);
+            total_fast += fast;
             assert_eq!(
-                output_region(&out),
+                output_region(&ticked.0),
                 output_region(&reference),
-                "seed {seed}: policy {} diverged from reference ({stmts:?})",
-                policy.paper_name()
+                "{ctx}: diverged from reference ({stmts:?})"
             );
+            if seed % 2 == 1 {
+                let (split, _) = run_policy(&program, policy, &mem0, true);
+                assert_eq!(split.1, ticked.1, "{ctx}: compute/commit cycles");
+                assert_eq!(split.2, ticked.2, "{ctx}: compute/commit accounting");
+                assert_eq!(
+                    split.0.words(),
+                    ticked.0.words(),
+                    "{ctx}: compute/commit memory ({stmts:?})"
+                );
+            }
         }
     }
-}
-
-/// Scheduler-oracle property: the incremental ready-ring + wake-heap
-/// scheduler must pick the *same group on the same cycle* as the legacy
-/// exhaustive round-robin scan, for every policy, on randomly generated
-/// divergent kernels. Fingerprints cover final memory, total cycles, and
-/// the stall/issue/split accounting — any divergence in pick order would
-/// shift at least one of these.
-#[test]
-fn event_scheduler_matches_scan_oracle() {
-    for seed in 0..12u64 {
-        let mut rng = Rng64::new(0x5C4EDA7E ^ seed);
-        let mut budget = 24usize;
-        let top_len = 1 + rng.range_usize(7);
-        let stmts = gen_block(&mut rng, 3, top_len, &mut budget);
-        let program = compile(&stmts);
-        let mem0 = VecMemory::new(MEM_WORDS as u64 * 8);
-        for policy in all_policies() {
-            let event = run_policy_with(&program, policy, &mem0, false);
-            let scan = run_policy_with(&program, policy, &mem0, true);
-            assert_eq!(
-                event.1,
-                scan.1,
-                "seed {seed}: policy {} cycle count diverged from scan oracle",
-                policy.paper_name()
-            );
-            assert_eq!(
-                event.2,
-                scan.2,
-                "seed {seed}: policy {} accounting diverged from scan oracle",
-                policy.paper_name()
-            );
-            assert_eq!(
-                event.0.words(),
-                scan.0.words(),
-                "seed {seed}: policy {} memory diverged from scan oracle ({stmts:?})",
-                policy.paper_name()
-            );
-        }
-    }
+    // The generator emits uniform loop bounds and uniform conditions often
+    // enough that a dead fast path would be a wiring bug, not bad luck.
+    assert!(
+        total_fast > 1000,
+        "only {total_fast} uniform fast-path branches across the battery — hints look dead"
+    );
 }

@@ -510,6 +510,44 @@ fn alternating_all_policies_match_reference() {
     }
 }
 
+/// A warp access is divergent when its misses span more than one L1-D
+/// line, so the classifier must follow the configured line size: lanes
+/// missing at `a` and `a + 64` share a 128 B line but not a 64 B one.
+#[test]
+fn divergent_access_follows_l1d_line_size() {
+    let mut b = KernelBuilder::new();
+    let tid = b.tid();
+    let a = b.reg();
+    b.mul(a, tid, Operand::Imm(64));
+    b.load(a, a, 0);
+    b.halt();
+    let program = Arc::new(b.build().unwrap());
+    let divergent_accesses = |line_bytes: u64| {
+        let mut cfg = WpuConfig::paper(0, Policy::conventional());
+        cfg.width = 2;
+        cfg.n_warps = 1;
+        cfg.sched_slots = 2;
+        let mut wpu = Wpu::new(cfg, Arc::clone(&program), 0, 2);
+        let mut mem_cfg = MemConfig::paper(1, 2);
+        mem_cfg.l1d.line_bytes = line_bytes;
+        let mut mem = MemorySystem::new(mem_cfg);
+        let mut data = VecMemory::new(1024);
+        let mut now = Cycle(0);
+        while !wpu.done() {
+            for c in mem.drain_completions(now) {
+                wpu.on_completion(c.request, c.at);
+            }
+            wpu.tick(now, &mut mem, &mut data);
+            now += 1;
+            assert!(now.raw() < 100_000);
+        }
+        assert_eq!(wpu.stats.mem_accesses_with_miss.get(), 1);
+        wpu.stats.divergent_mem_accesses.get()
+    };
+    assert_eq!(divergent_accesses(128), 0, "both lanes miss one 128 B line");
+    assert_eq!(divergent_accesses(64), 1, "the lanes miss two 64 B lines");
+}
+
 #[test]
 fn wst_of_zero_disables_subdivision() {
     let n = 256;

@@ -38,7 +38,7 @@ pub mod stats;
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan};
 pub use hash::{FastHashMap, FastHashSet};
-pub use sched::{Component, Phase, ReadyRing, WakeHeap};
+pub use sched::{Phase, ReadyRing, WakeHeap};
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

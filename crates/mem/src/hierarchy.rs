@@ -274,7 +274,9 @@ impl MemorySystem {
         &self.cfg
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
+    /// The L1-D line number `addr` falls in.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
         match self.l1d_shift {
             Some(s) => addr >> s,
             None => addr / self.cfg.l1d.line_bytes,
@@ -836,7 +838,7 @@ impl MemorySystem {
     }
 
     /// Latency model for an L1-I cold-miss fill. The I-cache arrays
-    /// themselves live inside the WPUs (so the parallel compute phase can
+    /// themselves live inside the WPUs (so the WPU's compute phase can
     /// probe them without touching shared state); only this shared-timing
     /// part — the request crossing the crossbar, the L2 lookup
     /// (instructions always hit there in these tiny kernels), and the line

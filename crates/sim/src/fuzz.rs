@@ -1,10 +1,9 @@
 //! Verifier-guided differential fuzzing of the whole simulator.
 //!
-//! The repo accumulated a set of pairwise equivalence oracles — µop engine
-//! vs legacy ShadowLane interpretation, event-driven vs stepped run,
-//! parallel vs serial stepping, fault-injected vs clean timing, every
-//! scheduling policy vs the scalar reference interpreter, and (PR 8) the
-//! control-flow-melded kernel vs its unmelded self. Each oracle was
+//! The repo keeps a set of pairwise equivalence oracles — event-driven
+//! vs stepped run, fault-injected vs clean timing, every scheduling
+//! policy vs the scalar reference interpreter, and the control-flow-melded
+//! kernel vs its unmelded self. Each oracle was
 //! exercised only by the eight hand-written benchmarks and a handful of
 //! test kernels. This module closes the input side: [`run_campaign`]
 //! draws verifier-accepted random kernels from [`dws_isa::gen`], runs
@@ -84,11 +83,6 @@ pub enum Axis {
     Policy(&'static str),
     /// Cycle-stepped run vs the event-driven run (canonical policy).
     Stepped,
-    /// Two-worker parallel stepping vs serial (canonical policy).
-    Parallel,
-    /// Legacy ShadowLane interpretation vs the µop engine (canonical
-    /// policy).
-    Legacy,
     /// Full-chaos fault injection vs the reference memory image (faults
     /// are timing-only; results must not change).
     Chaos,
@@ -105,8 +99,6 @@ impl Axis {
         match self {
             Axis::Policy(p) => format!("policy:{p}"),
             Axis::Stepped => "stepped".to_string(),
-            Axis::Parallel => "parallel".to_string(),
-            Axis::Legacy => "legacy-engine".to_string(),
             Axis::Chaos => "chaos".to_string(),
             Axis::Meld => "meld".to_string(),
         }
@@ -254,7 +246,7 @@ impl Default for FuzzConfig {
 
 impl FuzzConfig {
     /// The policy whose run anchors the engine-equivalence axes (stepped,
-    /// parallel, legacy, chaos): the restricted policy when one is set,
+    /// chaos, meld): the restricted policy when one is set,
     /// else `DWS.ReviveSplit` — the paper's headline configuration and
     /// the one with the most warp-split machinery in play.
     #[must_use]
@@ -307,8 +299,7 @@ fn fuzz_sim_config(policy: Policy, max_cycles: u64) -> SimConfig {
     let mut c = SimConfig::paper(policy)
         .with_wpus(FUZZ_WPUS)
         .with_width(FUZZ_WIDTH)
-        .with_warps(FUZZ_WARPS)
-        .with_threads(1);
+        .with_warps(FUZZ_WARPS);
     c.max_cycles = max_cycles;
     c
 }
@@ -397,8 +388,8 @@ fn classify_err(e: &SimError, axis: Axis) -> FuzzFinding {
 
 /// Runs one compiled kernel across every oracle axis; `None` means all
 /// axes agree. Axis order is fixed (policies in registry order, then
-/// stepped, parallel, legacy engine, chaos, meld), and the first failure
-/// wins, so classification is deterministic.
+/// stepped, chaos, meld), and the first failure wins, so classification
+/// is deterministic.
 ///
 /// # Errors
 ///
@@ -513,74 +504,7 @@ pub fn check_program(
         }
     }
 
-    // Axis 3: parallel stepping (2 workers sharding the WPUs) vs serial.
-    let par = catch_unwind(AssertUnwindSafe(|| {
-        Machine::run_with_threads(&config, &spec, 2)
-    }));
-    match par {
-        Ok(Ok(r)) => {
-            if r.cycles != canonical_run.cycles {
-                return Some(FuzzFinding {
-                    class: FailureClass::CycleMismatch(Axis::Parallel),
-                    message: format!(
-                        "parallel: {} cycles, serial: {}",
-                        r.cycles, canonical_run.cycles
-                    ),
-                });
-            }
-            if r.memory.words() != canonical_run.memory.words() {
-                return Some(FuzzFinding {
-                    class: FailureClass::MemoryMismatch(Axis::Parallel),
-                    message: first_diff(r.memory.words(), canonical_run.memory.words()),
-                });
-            }
-        }
-        Ok(Err(e)) => return Some(classify_err(&e, Axis::Parallel)),
-        Err(p) => {
-            return Some(FuzzFinding {
-                class: FailureClass::Panic(Axis::Parallel),
-                message: panic_payload(&*p),
-            })
-        }
-    }
-
-    // Axis 4: legacy ShadowLane interpretation vs the µop engine. Total
-    // equivalence — cycles and memory.
-    let legacy = catch_unwind(AssertUnwindSafe(|| {
-        let mut m = Machine::new(&config, &spec);
-        for w in &mut m.wpus {
-            w.set_uop_engine(false);
-        }
-        m.run_serial(&config)
-    }));
-    match legacy {
-        Ok(Ok(r)) => {
-            if r.cycles != canonical_run.cycles {
-                return Some(FuzzFinding {
-                    class: FailureClass::CycleMismatch(Axis::Legacy),
-                    message: format!(
-                        "legacy engine: {} cycles, uop engine: {}",
-                        r.cycles, canonical_run.cycles
-                    ),
-                });
-            }
-            if r.memory.words() != canonical_run.memory.words() {
-                return Some(FuzzFinding {
-                    class: FailureClass::MemoryMismatch(Axis::Legacy),
-                    message: first_diff(r.memory.words(), canonical_run.memory.words()),
-                });
-            }
-        }
-        Ok(Err(e)) => return Some(classify_err(&e, Axis::Legacy)),
-        Err(p) => {
-            return Some(FuzzFinding {
-                class: FailureClass::Panic(Axis::Legacy),
-                message: panic_payload(&*p),
-            })
-        }
-    }
-
-    // Axis 5: full-chaos fault injection. Faults perturb timing only, so
+    // Axis 3: full-chaos fault injection. Faults perturb timing only, so
     // the final memory must still match the reference image (cycles will
     // differ, by design).
     let chaos_config = config.with_fault(FaultPlan::full_chaos(seed));
@@ -609,7 +533,7 @@ pub fn check_program(
         }
     }
 
-    // Axis 6: control-flow melding. Rewrite divergent diamonds into
+    // Axis 4: control-flow melding. Rewrite divergent diamonds into
     // predicated straight-line code, then require the melded kernel's
     // event-driven AND chaos runs to reproduce the unmelded reference
     // image exactly. Cycles may differ (melding exists to change them);

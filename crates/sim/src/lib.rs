@@ -23,7 +23,6 @@ pub mod fuzz;
 pub mod lint;
 pub mod machine;
 pub mod metrics;
-pub mod parallel;
 pub mod presets;
 pub mod sweep;
 
@@ -36,5 +35,4 @@ pub use fuzz::{
 pub use lint::lint_spec;
 pub use machine::Machine;
 pub use metrics::RunResult;
-pub use parallel::default_threads;
 pub use sweep::{failure_summary, SweepOutcome, SweepRunner};

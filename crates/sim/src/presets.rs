@@ -53,9 +53,8 @@ pub fn figure13_policies() -> Vec<(&'static str, Policy)> {
 }
 
 /// A machine scaled to `n_wpus` WPUs (paper per-WPU organization, one L1
-/// per WPU). The WPU counts in [`scaling_wpu_counts`] are the simspeed
-/// scaling-study presets; intra-run threading (`DWS_THREADS` /
-/// [`SimConfig::with_threads`]) is what makes the larger ones tractable.
+/// per WPU). The WPU counts in [`scaling_wpu_counts`] are the
+/// scaling-study presets.
 pub fn scaled(policy: Policy, n_wpus: usize) -> SimConfig {
     SimConfig::paper(policy).with_wpus(n_wpus)
 }

@@ -68,21 +68,18 @@ pub struct SweepOutcome {
 /// auto-detection.
 #[must_use]
 pub fn default_workers() -> usize {
-    env_worker_count("DWS_JOBS").unwrap_or_else(|| {
+    env_jobs().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
 }
 
-/// Parses a worker-count environment variable: `Some(n)` for an integer of
-/// at least 1, `None` when unset. Zero and unparseable values are rejected
-/// with a once-per-process stderr warning, then treated as unset so the
-/// caller falls back to its default. Shared by [`default_workers`]
-/// (`DWS_JOBS`, inter-run sweep workers) and
-/// [`default_threads`](crate::parallel::default_threads) (`DWS_THREADS`,
-/// intra-run WPU shards).
-pub(crate) fn env_worker_count(var: &str) -> Option<usize> {
+/// Parses `DWS_JOBS`: `Some(n)` for an integer of at least 1, `None` when
+/// unset. Zero and unparseable values are rejected with a once-per-process
+/// stderr warning, then treated as unset.
+fn env_jobs() -> Option<usize> {
+    let var = "DWS_JOBS";
     let v = std::env::var(var).ok()?;
     match v.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),

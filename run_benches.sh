@@ -23,35 +23,24 @@ for fig in table1_characterization fig13_schemes fig13_meld fig07_branch_dws fig
     >> bench_timings.jsonl
 done
 echo "=== bench: scaling_wpus ===" | tee -a bench_output.txt
-# The scaling study runs 32/64/128-WPU machines, each three times (Conv,
-# DWS serial, DWS threaded) — restrict the benchmark set to keep its wall
-# clock in line with the single-figure sweeps. DWS_THREADS picks the
-# intra-run thread count (default: min(cores, 4)).
+# The scaling study runs 32/64/128-WPU machines, each under Conv and DWS —
+# restrict the benchmark set to keep its wall clock in line with the
+# single-figure sweeps.
 t0=$(date +%s.%N)
 DWS_BENCHMARKS="${DWS_SCALING_BENCHMARKS:-Merge,FFT}" \
   cargo bench -p dws-bench --bench scaling_wpus 2>>bench_progress.log | tee -a bench_output.txt
 status=${PIPESTATUS[0]}
 t1=$(date +%s.%N)
 dt=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.2f", b - a }')
-printf '{"sweep": "scaling_wpus", "host_seconds": %s, "threads": "%s", "scale": "%s", "status": %d}\n' \
-  "$dt" "${DWS_THREADS:-auto}" "${DWS_SCALE:-bench}" "$status" >> bench_timings.jsonl
-echo "=== bench: simspeed ===" | tee -a bench_output.txt
-# Keep the previous throughput report so perf-diff can show the trend.
-[ -f BENCH_simspeed.json ] && cp BENCH_simspeed.json BENCH_simspeed.prev.json
-cargo run --release --bin simspeed 2>>bench_progress.log | tee -a bench_output.txt
-if [ -f BENCH_simspeed.prev.json ]; then
-  echo "=== simspeed trend (perf-diff, advisory) ===" | tee -a bench_output.txt
-  cargo run --release --bin perf-diff -- \
-    BENCH_simspeed.prev.json BENCH_simspeed.json 2>>bench_progress.log \
-    | tee -a bench_output.txt
-  printf '{"sweep": "simspeed_trend", "status": %d}\n' "${PIPESTATUS[0]}" >> bench_timings.jsonl
-fi
+printf '{"sweep": "scaling_wpus", "host_seconds": %s, "scale": "%s", "status": %d}\n' \
+  "$dt" "${DWS_SCALE:-bench}" "$status" >> bench_timings.jsonl
 echo "=== bench: micro (criterion) ===" | tee -a bench_output.txt
 cargo bench -p dws-bench --bench micro 2>>bench_progress.log | tee -a bench_output.txt
 echo "=== fuzz throughput (advisory) ===" | tee -a bench_output.txt
 # Correctness fuzzing lives in ci.sh (25-seed smoke, determinism-checked);
 # here we only time a wider campaign so kernel-generation + differential-
-# battery throughput is trended alongside simulator throughput. A non-zero
+# battery throughput is recorded (simulator throughput itself is
+# `bash benchmark/run.sh`). A non-zero
 # status (7 = real oracle divergence) is recorded, not fatal.
 t0=$(date +%s.%N)
 cargo run -q --release --bin dws-cli -- fuzz --seeds 100 \

@@ -631,9 +631,9 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
 /// Runs the verifier-guided differential fuzzing campaign: each seed grows
 /// a random verifier-accepted kernel and checks it across the oracle axes
 /// (all scheduling policies vs the reference interpreter, stepped vs
-/// event-driven, parallel vs serial, legacy engine vs µop, chaos vs
-/// zero-fault). `--policy` narrows the policy axis to one named policy;
-/// `--minimize` delta-debugs each failure down to a minimal reproducer.
+/// event-driven, chaos vs zero-fault, melded vs unmelded). `--policy`
+/// narrows the policy axis to one named policy; `--minimize` delta-debugs
+/// each failure down to a minimal reproducer.
 /// Returns whether the campaign was clean; failures exit with code 7.
 fn run_fuzz(args: &[String]) -> Result<bool, String> {
     use dws::sim::{run_campaign, FuzzConfig};
