@@ -53,6 +53,14 @@ cargo test -q --release --offline -p dws-sim --test zero_alloc_steady_state
 cargo test -q --release --offline -p dws-sim --test sweep_determinism
 cargo test -q --release --offline -p dws-sim --test event_equivalence
 cargo test -q --release --offline -p dws-core --test random_policies
+# Sleeping through MSHR back-pressure: run = step = phased ticks where
+# refusals outnumber instructions, certificate oracle forced on.
+cargo test -q --release --offline -p dws-sim --test event_equivalence -- --exact \
+  backpressure_sleep_matches_step backpressure_sleep_matches_phased_ticks
+# The benchmark's frozen traced driver must still replay the core bit for
+# bit (8 kernels x 3 policies at 4 and 32 WPUs), so a core change it cannot
+# reproduce fails here, before a benchmark run does.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== tier-1 robustness guards (named, release) =="
 # Chaos battery (fault plans x policies, sanitizer forced on) and sweep

@@ -72,10 +72,12 @@ pub struct Group {
     /// uniform loop) now share a group — the warp's uniform-branch fast
     /// path is then disabled.
     pub spine_trips: u64,
-    /// Structural-stall memo: `(pc, mask, l1 generation)` of the last
-    /// rejected memory access. While the group spins on full MSHRs its
-    /// registers cannot change, so an identical attempt against an
-    /// unchanged L1 generation is re-rejected without re-probing the cache.
+    /// Retry certificate `(pc, mask, retry_at_release_count)` of the last
+    /// memory access the L1 refused for lack of MSHRs. While the group
+    /// spins its registers cannot change, so an identical attempt is
+    /// refused again — without re-probing the cache — until the L1's MSHR
+    /// release count reaches `retry_at_release_count`
+    /// (`dws_mem::MemorySystem::would_reject`).
     pub reject_memo: Option<(usize, Mask, u64)>,
 }
 

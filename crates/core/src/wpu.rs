@@ -104,8 +104,8 @@ enum MemPort<'a> {
 enum ExecResult {
     /// An instruction issued; the cycle is busy.
     Issued,
-    /// Structural retry (MSHR-full, I-fetch miss): the group was pushed
-    /// back; try another group this same cycle.
+    /// Structural retry (refused MSHRs, I-fetch miss): the group was
+    /// pushed back; try another group this same cycle.
     Retry,
     /// Deferred mode reached a memory interaction; the tick is parked in
     /// [`Wpu::pending_issue`] until [`Wpu::tick_commit`] resumes it.
@@ -258,6 +258,18 @@ pub struct Wpu {
     /// The memory interaction a suspended [`tick_compute`]
     /// (Self::tick_compute) parked for [`tick_commit`](Self::tick_commit).
     pending_issue: Option<PendingIssue>,
+    /// Groups refused MSHRs so far this tick; `None` once the tick did
+    /// anything else with a group (continued the current one, redirected
+    /// it, missed the L1-I). A stalled tick ending `Some(k > 0)` is a pure
+    /// spin ([`sleep_through_backpressure`](Self::sleep_through_backpressure)),
+    /// which sets how many groups spin and the cycle they next retry at.
+    refused: Option<usize>,
+    spinners: usize,
+    spin_from: Cycle,
+    /// Rejections [`account_skipped_stall`](Self::account_skipped_stall)
+    /// replayed without a memory system at hand; the next `exec_memory`
+    /// folds them into its statistics.
+    unreported_rejections: u64,
     /// Per-PC verifier classification: `true` where the instruction is a
     /// conditional branch whose condition provably does not depend on the
     /// thread id (so lanes at the same spine position agree). See
@@ -369,6 +381,10 @@ impl Wpu {
             l1i_fetches: 0,
             l1i_misses: 0,
             pending_issue: None,
+            refused: None,
+            spinners: 0,
+            spin_from: Cycle::ZERO,
+            unreported_rejections: 0,
             uniform_branch: uniformity.uniform,
             spine_branch: uniformity.spine,
             uniform_poisoned: vec![false; cfg.n_warps],
@@ -456,20 +472,27 @@ impl Wpu {
     }
 
     /// The earliest future cycle at which a currently-ready group becomes
-    /// issuable, if any. Together with the memory system's next completion
-    /// time, this lets the run loop skip over fully-stalled stretches.
+    /// issuable, if any (groups asleep on MSHR back-pressure aside: a
+    /// completion wakes those). Together with the memory system's next
+    /// completion time, this lets the run loop skip over fully-stalled
+    /// stretches. The slab-scan reference for
+    /// [`cached_next_wake`](Self::cached_next_wake).
     pub fn next_wake_at(&self, now: Cycle) -> Option<Cycle> {
+        let asleep = !self.req_map.is_empty();
         self.groups
             .iter()
             .flatten()
             .filter(|g| g.slotted && g.status == GroupStatus::Ready)
+            .filter(|g| !(asleep && self.spinning(g)))
             .map(|g| g.ready_at.max(now))
             .min()
     }
 
     /// The wake time computed by the most recent stalled
-    /// [`tick`](Self::tick), without rescanning the group list. Only
-    /// meaningful directly after a tick that returned
+    /// [`tick`](Self::tick), without rescanning the group list. Groups
+    /// asleep on MSHR back-pressure are left out: a completion wakes them,
+    /// [`account_skipped_stall`](Self::account_skipped_stall) replays
+    /// their retries. Only meaningful directly after a tick that returned
     /// [`TickClass::StallMem`], [`TickClass::Idle`] or [`TickClass::Done`]:
     /// a `Busy` tick leaves the cache stale (the run loop never consults it
     /// then), and any event delivered after the tick (a completion, a
@@ -505,12 +528,55 @@ impl Wpu {
 
     /// Accounts `n` additional stall cycles of the same class as the last
     /// tick (used when the run loop skips ahead over a stalled stretch).
+    /// If that tick left groups spinning on MSHR back-pressure, each cycle
+    /// would have repeated it: a rejection and an L1-I fetch per spinner,
+    /// leaving them due the cycle after.
     pub fn account_skipped_stall(&mut self, n: u64, class: TickClass) {
         match class {
             TickClass::StallMem => self.stats.mem_stall_cycles.add(n),
             TickClass::Idle => self.stats.idle_cycles.add(n),
             TickClass::Busy | TickClass::Done => {}
         }
+        let k = self.spinners as u64;
+        if k == 0 {
+            return;
+        }
+        self.l1i_fetches += k * n;
+        self.unreported_rejections += k * n;
+        // A completion delivered since the tick may already have merged a
+        // spinner away (moving its `ready_at`); the rest are untouched.
+        for i in 0..self.groups.len() {
+            if self.groups[i].as_ref().is_some_and(|g| self.spinning(g)) {
+                self.group_mut(GroupId(i)).ready_at = self.spin_from + n;
+                self.resched(GroupId(i));
+            }
+        }
+        self.spinners = 0;
+    }
+
+    /// Groups the last tick left spinning on MSHR back-pressure (asleep, if
+    /// a request is outstanding), and the earliest L1 release count one of
+    /// their retry certificates waits for (diagnostics).
+    pub fn mshr_spin(&self) -> (usize, Option<u64>) {
+        let retry_at = self
+            .groups
+            .iter()
+            .flatten()
+            .filter(|g| self.spinning(g))
+            .filter_map(|g| g.reject_memo.map(|(_, _, at)| at))
+            .min();
+        (self.spinners, retry_at)
+    }
+
+    /// Whether `g` is one of the groups counted in `spinners`: due exactly
+    /// at `spin_from` on a retry certificate for its current instruction.
+    fn spinning(&self, g: &Group) -> bool {
+        self.spinners > 0
+            && g.slotted
+            && g.status == GroupStatus::Ready
+            && g.ready_at == self.spin_from
+            && g.reject_memo
+                .is_some_and(|(pc, mask, _)| (pc, mask) == (g.pc, g.mask))
     }
 
     /// Per-thread D-cache miss counts, indexed `[warp][lane]` (Figure 14).
@@ -680,6 +746,14 @@ impl Wpu {
             self.next_wake,
             self.next_wake_at(now),
             "next_wake drift at {now}"
+        );
+        // The scan knows spinners by their retry certificate, not by the
+        // issue loop's tally that published them.
+        let spinning = self.groups.iter().flatten().filter(|g| self.spinning(g));
+        assert_eq!(
+            self.spinners,
+            spinning.count(),
+            "spinner count drift at {now}"
         );
     }
 
@@ -948,11 +1022,7 @@ impl Wpu {
     ) -> ExecResult {
         let fetch_ready = mem.icache_fill_latency(now);
         if fetch_ready > now + 1 {
-            let g = self.group_mut(gid);
-            g.ready_at = fetch_ready;
-            self.resched(gid);
-            self.current = None;
-            return ExecResult::Retry;
+            return self.push_back(gid, fetch_ready, false);
         }
         let pc = self.group(gid).pc;
         self.execute_post_fetch(gid, pc, now, &mut MemPort::Direct(mem, data))
@@ -963,6 +1033,8 @@ impl Wpu {
     /// always completes; deferred mode suspends at the first shared-memory
     /// interaction.
     fn tick_phase(&mut self, now: Cycle, port: &mut MemPort<'_>) -> Phase<TickClass> {
+        self.spinners = 0;
+        self.refused = Some(0);
         if self.done() {
             self.next_wake = None;
             return Phase::Complete(TickClass::Done);
@@ -1014,6 +1086,8 @@ impl Wpu {
                         .map(|g| g.issuable(now))
                         .unwrap_or(false) =>
                 {
+                    // Not a scheduler pick: the cursor did not move.
+                    self.refused = None;
                     gid
                 }
                 _ => {
@@ -1027,6 +1101,7 @@ impl Wpu {
             self.current = Some(gid);
             match self.pre_issue(gid, now) {
                 PreIssue::Redirect => {
+                    self.refused = None;
                     if self.current == Some(gid)
                         && self.groups[gid.0]
                             .as_ref()
@@ -1039,7 +1114,7 @@ impl Wpu {
                 PreIssue::Execute => match self.execute(gid, now, port) {
                     ExecResult::Issued => return IssueOutcome::Issued,
                     ExecResult::Suspend => return IssueOutcome::Suspended,
-                    // Structural stall (MSHR-full or I-fetch miss): the
+                    // Structural stall (refused MSHRs or I-fetch miss): the
                     // group was pushed back; try another this cycle.
                     ExecResult::Retry => {}
                 },
@@ -1075,6 +1150,7 @@ impl Wpu {
         // ready ring is empty (pick_group returned None), so every slotted
         // ready group sits in the heap at a strictly future cycle.
         self.refresh_next_wake();
+        self.sleep_through_backpressure(now);
         if self.check_oracle {
             self.assert_sched_sync(now);
         }
@@ -1084,6 +1160,31 @@ impl Wpu {
         } else {
             self.stats.idle_cycles.incr();
             TickClass::Idle
+        }
+    }
+
+    /// MSHR back-pressure is an event wait (DESIGN §9). If every group
+    /// this stalled tick picked was refused MSHRs, the next tick would
+    /// repeat it exactly — frozen registers, the same certificates, the
+    /// cursor already just past the last spinner in ring order — until
+    /// something else wakes the WPU. So publish the wake time of the
+    /// *other* groups only; `account_skipped_stall` replays the spins, and
+    /// the release that can admit a spinner completes one of this WPU's
+    /// requests, which wakes it. With nothing outstanding no release can
+    /// come: the WPU keeps spinning, for the livelock watchdog to see.
+    fn sleep_through_backpressure(&mut self, now: Cycle) {
+        let Some(k) = self.refused.filter(|&k| k > 0) else {
+            return;
+        };
+        let ready = self.groups.iter().flatten();
+        let ready = ready.filter(|g| g.slotted && g.status == GroupStatus::Ready);
+        // A group due next cycle for another reason keeps the WPU awake.
+        if ready.filter(|g| g.ready_at == now + 1).count() == k {
+            self.spinners = k;
+            self.spin_from = now + 1;
+            if !self.req_map.is_empty() {
+                self.next_wake = self.next_wake_at(now);
+            }
         }
     }
 
@@ -1501,6 +1602,7 @@ impl Wpu {
         }) {
             self.merge_into(gid, s, Cycle::ZERO);
             self.stats.slip_merges.incr();
+            self.refused = None;
         }
     }
 
@@ -1632,13 +1734,23 @@ impl Wpu {
         };
         if fetch_ready > now + 1 {
             // Anything beyond a 1-cycle hit: retry when the line arrives.
-            let g = self.group_mut(gid);
-            g.ready_at = fetch_ready;
-            self.resched(gid);
-            self.current = None;
-            return ExecResult::Retry;
+            return self.push_back(gid, fetch_ready, false);
         }
         self.execute_post_fetch(gid, pc, now, port)
+    }
+
+    /// Structural retry: `gid` may not issue again before `ready_at`.
+    /// `refused`: for lack of MSHRs (pure-spin tally), not an I-fetch miss.
+    fn push_back(&mut self, gid: GroupId, ready_at: Cycle, refused: bool) -> ExecResult {
+        self.group_mut(gid).ready_at = ready_at;
+        self.resched(gid);
+        self.current = None;
+        self.refused = if refused {
+            self.refused.map(|k| k + 1)
+        } else {
+            None
+        };
+        ExecResult::Retry
     }
 
     /// Probes the WPU-local L1-I for `pc`'s line. Returns the fetch-ready
@@ -1701,9 +1813,9 @@ impl Wpu {
             ExecOp::Load { .. } | ExecOp::Store { .. } => match port {
                 MemPort::Direct(mem, data) => self.exec_memory(gid, pc, op, now, mem, &mut **data),
                 MemPort::Defer => {
-                    // The memo check, decode, and L1 probe all start at
-                    // shared state (the L1 generation); park the whole
-                    // access for the commit phase.
+                    // The certificate check, decode, and L1 probe all start
+                    // at shared state (the L1's release count); park the
+                    // whole access for the commit phase.
                     self.pending_issue = Some(PendingIssue::MemAccess { gid });
                     ExecResult::Suspend
                 }
@@ -1955,17 +2067,20 @@ impl Wpu {
         let warp = self.group(gid).warp;
         let mask = self.group(gid).mask;
 
-        // Structural-stall memo: while the group spins on full MSHRs its
-        // registers are frozen, so the same `(pc, mask)` against an
-        // unchanged L1 generation decodes to the same addresses and must be
-        // rejected again — skip the per-lane decode and cache probe.
-        if self.group(gid).reject_memo == Some((pc, mask, mem.l1_generation(self.cfg.id))) {
-            mem.count_repeat_rejection();
-            let g = self.group_mut(gid);
-            g.ready_at = now + 1;
-            self.resched(gid);
-            self.current = None;
-            return ExecResult::Retry;
+        mem.count_replayed_rejections(std::mem::take(&mut self.unreported_rejections));
+        // Retry certificate: while the group spins on MSHR back-pressure its
+        // registers are frozen, so the same `(pc, mask)` decodes to the
+        // same addresses, and until the L1 has released enough MSHRs they
+        // must be refused again — skip the per-lane decode and cache probe.
+        let certified = matches!(
+            self.group(gid).reject_memo,
+            Some((p, m, retry_at)) if (p, m) == (pc, mask) && mem.l1_releases(self.cfg.id) < retry_at
+        );
+        if certified {
+            mem.count_replayed_rejections(1);
+            if !self.check_oracle {
+                return self.push_back(gid, now + 1, true);
+            }
         }
 
         // Borrow the per-tick scratch buffers out of `self` for the
@@ -2033,17 +2148,22 @@ impl Wpu {
         }));
 
         let issued = 'body: {
+            if certified {
+                // In-situ oracle: the real check must still refuse (unless
+                // a fault plan's withheld MSHRs certified the refusal).
+                assert!(
+                    mem.would_reject(self.cfg.id, &accesses).is_some() || self.fault.is_some(),
+                    "retry certificate outlived the rejection at pc {pc} cycle {now}"
+                );
+                break 'body false;
+            }
             if !mem.warp_access_into(now, self.cfg.id, &accesses, &mut outcomes) {
-                // MSHRs exhausted: structural stall; retry this group
-                // shortly while other groups issue. Rejection leaves the L1
-                // untouched, so the generation read here stays valid for
-                // the memo until something mutates the L1.
-                let memo = Some((pc, mask, mem.l1_generation(self.cfg.id)));
-                let g = self.group_mut(gid);
-                g.reject_memo = memo;
-                g.ready_at = now + 1;
-                self.resched(gid);
-                self.current = None;
+                // MSHRs exhausted: other groups issue while this one waits
+                // out its deficit in releases (1 when only fault injection's
+                // withholding explains the refusal).
+                let deficit = mem.would_reject(self.cfg.id, &accesses).unwrap_or(1);
+                let retry_at = mem.l1_releases(self.cfg.id) + deficit as u64;
+                self.group_mut(gid).reject_memo = Some((pc, mask, retry_at));
                 break 'body false;
             }
 
@@ -2192,7 +2312,7 @@ impl Wpu {
         if issued {
             ExecResult::Issued
         } else {
-            ExecResult::Retry
+            self.push_back(gid, now + 1, true)
         }
     }
 
@@ -2421,5 +2541,230 @@ impl Wpu {
             let _ = writeln!(s, "warp {} stack={:?} halted={}", w.id, w.stack, w.halted);
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dws_isa::{KernelBuilder, Operand, VecMemory};
+    use dws_mem::{Completion, MemConfig};
+
+    /// One WPU of 4 warps x 4 lanes over its own memory system, ticked by
+    /// hand.
+    struct Rig {
+        wpu: Wpu,
+        mem: MemorySystem,
+        data: VecMemory,
+        now: Cycle,
+        done: Vec<Completion>,
+    }
+
+    impl Rig {
+        fn new(program: Program, mshrs: usize, fault: FaultPlan) -> Rig {
+            let mut cfg = WpuConfig::paper(0, Policy::conventional());
+            cfg.width = 4;
+            let mut mcfg = MemConfig::paper(1, 4);
+            mcfg.l1d.mshrs = mshrs;
+            let mut rig = Rig {
+                wpu: Wpu::new(cfg, Arc::new(program), 0, 16),
+                mem: MemorySystem::new(mcfg),
+                data: VecMemory::new(64 * 1024),
+                now: Cycle::ZERO,
+                done: Vec::new(),
+            };
+            rig.wpu.set_fault_plan(fault);
+            rig.mem.set_fault_plan(fault);
+            rig
+        }
+
+        /// One machine cycle: deliver fills, tick, advance.
+        fn step(&mut self) -> TickClass {
+            self.mem.drain_completions_into(self.now, &mut self.done);
+            for c in &self.done {
+                self.wpu.on_completion(c.request, c.at);
+            }
+            let t = self.wpu.tick(self.now, &mut self.mem, &mut self.data);
+            self.now += 1;
+            t
+        }
+
+        /// Steps until the tick that leaves `k` groups spinning asleep.
+        fn step_until_spinning(&mut self, k: usize) {
+            while self.wpu.spinners != k {
+                self.step();
+                assert!(self.now.raw() < 1_000, "never saw {k} spinners");
+            }
+        }
+
+        /// Slab index of warp `w`'s (only) group.
+        fn group_of(&self, w: usize) -> &Group {
+            let mut of_warp = self.wpu.groups.iter().flatten().filter(|g| g.warp == w);
+            let g = of_warp.next().expect("warp has a group");
+            assert!(of_warp.next().is_none(), "warp {w} split");
+            g
+        }
+    }
+
+    /// Warps below `coalesced_from` gather (every lane its own line, so
+    /// one warp access wants 4 MSHRs); the rest load one shared line.
+    fn load_kernel(coalesced_from: i64) -> Program {
+        let mut b = KernelBuilder::new();
+        let tid = b.tid();
+        let a = b.reg();
+        b.mul(a, tid, Operand::Imm(1024));
+        b.if_then(CondOp::Ge, tid, Operand::Imm(4 * coalesced_from), |b| {
+            b.li(a, 32 * 1024);
+        });
+        b.load(a, a, 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// The replay law: sleeping through `n` pure-spin cycles and ticking
+    /// through them leave the WPU and the memory statistics identical —
+    /// `k * n` rejections and I-fetches, spinners due the cycle after, and
+    /// the round-robin cursor where another round would leave it.
+    #[test]
+    fn sleeping_through_spins_equals_ticking_through_them() {
+        const N: u64 = 20;
+        let rigs = [(); 2].map(|()| {
+            let mut r = Rig::new(load_kernel(4), 4, FaultPlan::NONE);
+            // Warp 0 waits out the cold I-fetch, warp 1 wins the 4 MSHRs,
+            // and warps 2, 3 — then 0 as well — spin on the refusal.
+            r.step_until_spinning(3);
+            r
+        });
+        let [mut ticked, mut slept] = rigs;
+        assert_eq!(ticked.now, slept.now);
+        let first_fill = ticked.mem.next_completion_at().expect("warp 1 misses");
+        assert!(first_fill > ticked.now + N, "spin window ends at a fill");
+        // The tick before was no pure spin (warp 0 continued from its `mul`
+        // into the refusal without a scheduler pick), so it stayed awake.
+        assert_eq!(
+            slept.wpu.cached_next_wake(),
+            None,
+            "only spinners are Ready"
+        );
+
+        let (fetches, rejections) = (slept.wpu.l1i_fetches, slept.mem.stats().rejections.get());
+        for _ in 0..N {
+            assert_eq!(ticked.step(), TickClass::StallMem);
+        }
+        slept.wpu.account_skipped_stall(N, TickClass::StallMem);
+        slept.now += N;
+        assert_eq!(slept.wpu.l1i_fetches, fetches + 3 * N);
+        assert_eq!(slept.wpu.unreported_rejections, 3 * N);
+        assert_eq!(slept.wpu.rr_cursor, ticked.wpu.rr_cursor);
+        assert_eq!(slept.wpu.dump_groups(), ticked.wpu.dump_groups());
+
+        // The next real tick folds the replayed rejections in.
+        assert_eq!(ticked.step(), slept.step());
+        assert_eq!(slept.wpu.unreported_rejections, 0);
+        assert_eq!(slept.mem.stats(), ticked.mem.stats());
+        assert_eq!(slept.mem.stats().rejections.get(), rejections + 3 * (N + 1));
+        assert_eq!(slept.wpu.stats, ticked.wpu.stats);
+        assert_eq!(slept.wpu.icache_counters(), ticked.wpu.icache_counters());
+        assert_eq!(slept.wpu.rr_cursor, ticked.wpu.rr_cursor);
+        assert_eq!(slept.wpu.dump_groups(), ticked.wpu.dump_groups());
+        assert_eq!(slept.wpu.cached_next_wake(), ticked.wpu.cached_next_wake());
+    }
+
+    /// A stalled tick that did anything besides being refused MSHRs is not
+    /// replayable and must publish the ordinary next-cycle wake; so must
+    /// one with no request outstanding, since no release can ever come.
+    #[test]
+    fn only_pure_spins_with_a_request_in_flight_sleep() {
+        let mut r = Rig::new(load_kernel(4), 4, FaultPlan::NONE);
+        let mut kept_awake = 0;
+        loop {
+            let t = r.step();
+            if r.wpu.spinners > 0 {
+                break;
+            }
+            if t == TickClass::StallMem && r.mem.stats().rejections.get() > 0 {
+                assert_eq!(r.wpu.refused, None, "impure tick at {}", r.now);
+                assert_eq!(r.wpu.cached_next_wake(), Some(r.now));
+                kept_awake += 1;
+            }
+        }
+        assert!(
+            kept_awake > 0,
+            "the first refusals follow a continued `mul`"
+        );
+
+        // One MSHR, nothing in flight: every warp wants 4, forever.
+        let mut r = Rig::new(load_kernel(4), 1, FaultPlan::NONE);
+        for _ in 0..200 {
+            r.step();
+        }
+        assert_eq!(r.wpu.spinners, 4, "a pure spin all the same");
+        assert_eq!(r.wpu.cached_next_wake(), Some(r.now));
+        assert_eq!(r.group_of(0).reject_memo.map(|m| m.2), Some(0));
+    }
+
+    /// The certificate is a lower bound in releases: it is honoured without
+    /// a fresh probe until its count is reached, then re-derived.
+    #[test]
+    fn deficit_certificate_waits_out_its_releases() {
+        // Warps 0-2 gather, warp 3 wants a single line.
+        let mut r = Rig::new(load_kernel(3), 4, FaultPlan::NONE);
+        r.step_until_spinning(3);
+        // A gather holds all four MSHRs: the others lack 4, warp 3 lacks 1.
+        let gather = (0..3)
+            .find(|&w| r.group_of(w).status == GroupStatus::Ready)
+            .expect("a refused gather");
+        assert_eq!(r.group_of(gather).reject_memo.map(|m| m.2), Some(4));
+        assert_eq!(r.group_of(3).reject_memo.map(|m| m.2), Some(1));
+        let retry_at = |r: &Rig| r.group_of(gather).reject_memo.map(|m| m.2);
+        let step_to_release = |r: &mut Rig, n: u64| {
+            while r.mem.l1_releases(0) < n {
+                r.step();
+            }
+        };
+
+        // Release 1 admits warp 3, which takes the freed MSHR straight
+        // back. After release 3 the gather lacks 2 more, so a fresh probe
+        // would certify release 5; the certificate still says 4.
+        step_to_release(&mut r, 1);
+        assert_eq!(r.group_of(3).status, GroupStatus::WaitMem);
+        step_to_release(&mut r, 3);
+        let lanes: Vec<_> = (0..4)
+            .map(|lane| LaneAccess {
+                lane,
+                addr: (4 * gather + lane) as u64 * 1024,
+                kind: AccessKind::Load,
+            })
+            .collect();
+        assert_eq!(r.mem.would_reject(0, &lanes), Some(2));
+        assert_eq!(retry_at(&r), Some(4), "no fresh probe before release 4");
+        assert_eq!(r.group_of(gather).status, GroupStatus::Ready);
+        // Release 4 expires it; the re-probe is refused and re-certified.
+        step_to_release(&mut r, 4);
+        assert_eq!(retry_at(&r), Some(5));
+        // Release 5 empties the file and a refused gather fills it again.
+        step_to_release(&mut r, 5);
+        assert_eq!(r.mem.mshr_in_use(0), 4);
+    }
+
+    /// A refusal only fault injection's withheld MSHRs explain is certified
+    /// for one release: the next fill forces a fresh draw.
+    #[test]
+    fn withheld_refusal_is_certified_for_one_release() {
+        let squeeze = FaultPlan {
+            mshr_withhold: 31,
+            mshr_withhold_prob: 1.0,
+            ..FaultPlan::NONE
+        };
+        let mut r = Rig::new(load_kernel(4), 8, squeeze);
+        r.step_until_spinning(3);
+        for w in 0..4 {
+            let g = r.group_of(w);
+            if g.status == GroupStatus::Ready {
+                // 4 of 8 MSHRs are free: only the withholding refuses.
+                assert_eq!(g.reject_memo.map(|m| m.2), Some(1), "warp {w}");
+            }
+        }
+        assert_eq!(r.mem.mshr_in_use(0), 4);
     }
 }

@@ -99,11 +99,11 @@ struct L1 {
     /// Mirror of this L1's outstanding fill times (a per-L1 view of the
     /// global event list), so the run loop can wake one WPU at a time.
     fills: WakeHeap<()>,
-    /// Bumped on every array/MSHR mutation. An identical warp access
-    /// re-attempted against an unchanged generation must reach the same
-    /// accept/reject decision, so rejected groups can skip the re-probe
-    /// while they spin on full MSHRs ([`MemorySystem::l1_generation`]).
-    gen: u64,
+    /// MSHR entries released so far. Releases are the only events that can
+    /// turn a refused warp access into an accepted one
+    /// ([`MemorySystem::would_reject`]), so refused groups key their retry
+    /// on this count ([`MemorySystem::l1_releases`]).
+    releases: u64,
 }
 
 struct L2 {
@@ -233,7 +233,7 @@ impl MemorySystem {
                 array: CacheArray::new(&cfg.l1d),
                 mshrs: MshrFile::new(cfg.l1d.mshrs, cfg.l1d.mshr_targets),
                 fills: WakeHeap::new(),
-                gen: 0,
+                releases: 0,
             })
             .collect();
         let l2 = L2 {
@@ -291,8 +291,9 @@ impl MemorySystem {
 
     /// Presents one warp memory instruction (the active lanes' addresses)
     /// to L1 `l1`. Returns per-lane outcomes in input order, or `None` if
-    /// MSHR resources are exhausted — the WPU must retry the instruction
-    /// next cycle (no state is modified in that case).
+    /// MSHR resources are exhausted (no state is modified in that case) —
+    /// the WPU re-presents the instruction once enough MSHRs have been
+    /// released ([`would_reject`](Self::would_reject)).
     ///
     /// # Panics
     ///
@@ -308,11 +309,79 @@ impl MemorySystem {
             .then_some(out)
     }
 
+    /// Groups `accesses` by L1-D line into `s`, preserving first-appearance
+    /// order. Warp width is small (<= 64), so linear scans beat hashing.
+    fn group_by_line(&self, accesses: &[LaneAccess], s: &mut WarpScratch) {
+        s.groups.clear();
+        s.lane_group.clear();
+        s.group_count.clear();
+        for a in accesses {
+            let line = self.line_of(a.addr);
+            let is_store = a.kind == AccessKind::Store;
+            match s.groups.iter_mut().position(|(l, _)| *l == line) {
+                Some(g) => {
+                    s.groups[g].1 |= is_store;
+                    s.group_count[g] += 1;
+                    s.lane_group.push(g);
+                }
+                None => {
+                    s.groups.push((line, is_store));
+                    s.group_count.push(1);
+                    s.lane_group.push(s.groups.len() - 1);
+                }
+            }
+        }
+    }
+
+    /// Feasibility check (no mutation of the model) over the line groups in
+    /// `s`, with `withheld` MSHRs hidden by fault injection: `None` when
+    /// the access fits, else its MSHR deficit as [`would_reject`]
+    /// (Self::would_reject) defines it. Records each group's tag lookup in
+    /// `s.group_info` so the apply pass replays it without re-scanning.
+    fn mshr_deficit(&self, l1: usize, s: &mut WarpScratch, withheld: usize) -> Option<usize> {
+        let l1c = &self.l1s[l1];
+        s.group_info.clear();
+        let mut fresh_needed = 0usize;
+        for (g, (line, any_store)) in s.groups.iter().enumerate() {
+            let (state, way) = l1c.array.lookup(*line);
+            s.group_info.push((state, way));
+            if state.valid() && (!any_store || state.writable()) {
+                continue;
+            }
+            match l1c.mshrs.find(*line) {
+                // The entry's target list only grows until it is released.
+                Some(id) if !l1c.mshrs.can_merge(id, s.group_count[g] as usize) => return Some(1),
+                Some(_) => {}
+                None => fresh_needed += 1,
+            }
+        }
+        let in_use = l1c.mshrs.in_use();
+        let free = l1c.mshrs.capacity() - in_use;
+        (fresh_needed > free.saturating_sub(withheld))
+            .then(|| fresh_needed.saturating_sub(free).max(1).min(in_use))
+    }
+
+    /// Whether L1 `l1` would refuse `accesses` for lack of MSHR resources
+    /// right now (fault-injected withholding aside), without touching the
+    /// model: `Some(deficit)` if so, where `deficit` entries of this L1 must
+    /// be released before the same access can be accepted. Sound because
+    /// nothing else helps (DESIGN §9): accepted accesses take entries, and
+    /// evictions, invalidations and downgrades only turn hits into misses.
+    /// A capacity refusal lacks `fresh lines needed - free entries`; a full
+    /// target list clears when its own entry is released, so it reports 1.
+    /// Capped at the entries in use: once they drain nothing can change.
+    pub fn would_reject(&mut self, l1: usize, accesses: &[LaneAccess]) -> Option<usize> {
+        let mut s = std::mem::take(&mut self.scratch);
+        self.group_by_line(accesses, &mut s);
+        let deficit = self.mshr_deficit(l1, &mut s, 0);
+        self.scratch = s;
+        deficit
+    }
+
     /// Allocation-free form of [`warp_access`](Self::warp_access): outcomes
     /// are written into the caller-owned `out` (cleared first, then one
     /// entry per access in input order). Returns `false` — with `out` left
-    /// empty and no state modified — when MSHR resources are exhausted and
-    /// the WPU must retry next cycle.
+    /// empty and no state modified — when MSHR resources are exhausted.
     ///
     /// # Panics
     ///
@@ -331,92 +400,44 @@ impl MemorySystem {
         // Borrow the scratch buffers out of `self` so the loops below can
         // still use `self` freely; put back (with capacity intact) at exit.
         let mut s = std::mem::take(&mut self.scratch);
-        s.groups.clear();
-        s.lane_group.clear();
-        s.group_count.clear();
-        s.group_info.clear();
         s.word_delay.clear();
         s.lane_delay.clear();
-
-        // Group lanes by line, preserving first-appearance order. Warp
-        // width is small (<= 64), so linear scans beat hashing here.
-        for a in accesses {
-            let line = self.line_of(a.addr);
-            let is_store = a.kind == AccessKind::Store;
-            match s.groups.iter_mut().position(|(l, _)| *l == line) {
-                Some(g) => {
-                    s.groups[g].1 |= is_store;
-                    s.group_count[g] += 1;
-                    s.lane_group.push(g);
-                }
-                None => {
-                    s.groups.push((line, is_store));
-                    s.group_count.push(1);
-                    s.lane_group.push(s.groups.len() - 1);
-                }
-            }
-        }
-
-        // Counting sort of access indices by group, so the apply pass can
-        // walk each group's lanes as a slice instead of filtering the whole
-        // warp once per group.
-        s.group_start.clear();
-        s.group_start.push(0);
-        let mut acc = 0u32;
-        for &c in &s.group_count {
-            acc += c;
-            s.group_start.push(acc);
-        }
-        s.group_cursor.clear();
-        s.group_cursor
-            .extend_from_slice(&s.group_start[..s.groups.len()]);
-        s.group_lanes.clear();
-        s.group_lanes.resize(accesses.len(), 0);
-        for (i, &g) in s.lane_group.iter().enumerate() {
-            s.group_lanes[s.group_cursor[g] as usize] = i as u32;
-            s.group_cursor[g] += 1;
-        }
+        self.group_by_line(accesses, &mut s);
 
         // Fault injection: transiently withhold MSHR entries, forcing
         // spurious back-pressure rejections. Only while fills are already
-        // outstanding (`in_use > 0`): an outstanding fill guarantees the
-        // L1 generation will bump, expiring the caller's rejection memo
-        // and forcing a fresh draw, so forward progress is preserved.
+        // outstanding (`in_use > 0`): an outstanding fill guarantees a
+        // release, which the caller's retry certificate waits for at most
+        // `in_use` of before a fresh draw, so forward progress is preserved.
         let withheld = match &mut self.fault {
             Some(f) if self.l1s[l1].mshrs.in_use() > 0 => f.mshr_withhold(),
             _ => 0,
         };
 
         let accepted = 'body: {
-            // Feasibility check (no mutation): count fresh MSHRs needed and
-            // verify merge capacity. The tag lookup records the hit way so
-            // the apply pass can replay the probe without re-scanning.
-            {
-                let l1c = &self.l1s[l1];
-                let mut fresh_needed = 0usize;
-                for (g, (line, any_store)) in s.groups.iter().enumerate() {
-                    let (state, way) = l1c.array.lookup(*line);
-                    s.group_info.push((state, way));
-                    let is_hit = state.valid() && (!any_store || state.writable());
-                    if is_hit {
-                        continue;
-                    }
-                    match l1c.mshrs.find(*line) {
-                        Some(id) => {
-                            if !l1c.mshrs.can_merge(id, s.group_count[g] as usize) {
-                                self.stats.rejections.incr();
-                                break 'body false;
-                            }
-                        }
-                        None => fresh_needed += 1,
-                    }
-                }
-                if fresh_needed
-                    > (l1c.mshrs.capacity() - l1c.mshrs.in_use()).saturating_sub(withheld)
-                {
-                    self.stats.rejections.incr();
-                    break 'body false;
-                }
+            if self.mshr_deficit(l1, &mut s, withheld).is_some() {
+                self.stats.rejections.incr();
+                break 'body false;
+            }
+
+            // Counting sort of access indices by group, so the apply pass
+            // can walk each group's lanes as a slice instead of filtering
+            // the whole warp once per group.
+            s.group_start.clear();
+            s.group_start.push(0);
+            let mut acc = 0u32;
+            for &c in &s.group_count {
+                acc += c;
+                s.group_start.push(acc);
+            }
+            s.group_cursor.clear();
+            s.group_cursor
+                .extend_from_slice(&s.group_start[..s.groups.len()]);
+            s.group_lanes.clear();
+            s.group_lanes.resize(accesses.len(), 0);
+            for (i, &g) in s.lane_group.iter().enumerate() {
+                s.group_lanes[s.group_cursor[g] as usize] = i as u32;
+                s.group_cursor[g] += 1;
             }
 
             // Bank queueing: unique words per bank serialize. The delay of
@@ -521,9 +542,6 @@ impl MemorySystem {
                     };
                 }
             }
-            // Accepted accesses mutate this L1 (MSHR allocations/merges,
-            // MESI upgrades, recency), so retry memos against it expire.
-            self.l1s[l1].gen += 1;
             true
         };
 
@@ -586,11 +604,9 @@ impl MemorySystem {
                     }
                     if exclusive {
                         self.l1s[o].array.invalidate(line);
-                        self.l1s[o].gen += 1;
                         self.stats.invalidations.incr();
                     } else if prev.valid() {
                         self.l1s[o].array.set_state(line, MesiState::Shared);
-                        self.l1s[o].gen += 1;
                     }
                 }
             }
@@ -613,7 +629,6 @@ impl MemorySystem {
                     for o in 0..self.l1s.len() {
                         if sharers & (1 << o) != 0 {
                             self.l1s[o].array.invalidate(line);
-                            self.l1s[o].gen += 1;
                             self.stats.invalidations.incr();
                         }
                     }
@@ -680,7 +695,6 @@ impl MemorySystem {
                 for o in 0..self.l1s.len() {
                     if others & (1 << o) != 0 {
                         let prev = self.l1s[o].array.invalidate(line);
-                        self.l1s[o].gen += 1;
                         self.stats.invalidations.incr();
                         if prev == MesiState::Modified {
                             self.stats.l1_writebacks.incr();
@@ -702,7 +716,6 @@ impl MemorySystem {
         for o in 0..self.l1s.len() {
             if entry.sharers & (1 << o) != 0 {
                 let prev = self.l1s[o].array.invalidate(line);
-                self.l1s[o].gen += 1;
                 self.stats.invalidations.incr();
                 if prev == MesiState::Modified {
                     dirty = true;
@@ -741,7 +754,7 @@ impl MemorySystem {
                 assert_eq!(mirrored.map(|(t, ())| t), Some(at), "fill mirror drift");
             }
             let mut entry = self.l1s[l1].mshrs.release(mshr_id);
-            self.l1s[l1].gen += 1;
+            self.l1s[l1].releases += 1;
             let line = entry.line_addr;
             // Decide the install state from the directory at fill time.
             let state = if entry.exclusive {
@@ -806,20 +819,17 @@ impl MemorySystem {
         self.l1s[l1].fills.next_at()
     }
 
-    /// Mutation generation of L1 `l1`. Strictly increases on every change
-    /// to that L1's array or MSHR file. A warp access re-attempted with the
-    /// same lanes against the same generation must reach the same
-    /// accept/reject decision, which lets a structurally-stalled group
-    /// cache its rejection instead of re-probing every cycle.
-    pub fn l1_generation(&self, l1: usize) -> u64 {
-        self.l1s[l1].gen
+    /// MSHR entries L1 `l1` has released so far — the clock a refused
+    /// access's retry is keyed on ([`would_reject`](Self::would_reject)).
+    pub fn l1_releases(&self, l1: usize) -> u64 {
+        self.l1s[l1].releases
     }
 
-    /// Records a rejection replayed from a caller's memo without re-running
-    /// [`warp_access_into`](Self::warp_access_into), keeping the rejection
-    /// counter identical to the un-memoized execution.
-    pub fn count_repeat_rejection(&mut self) {
-        self.stats.rejections.incr();
+    /// Records `n` rejections a caller replayed from its retry certificate
+    /// without re-running [`warp_access_into`](Self::warp_access_into),
+    /// keeping the rejection counter identical to per-cycle re-probing.
+    pub fn count_replayed_rejections(&mut self, n: u64) {
+        self.stats.rejections.add(n);
     }
 
     /// Number of in-flight fills.
@@ -1111,6 +1121,44 @@ mod tests {
             last
         };
         assert!(m.warp_access(t, 0, &[load(0, 0x2000)]).is_some());
+    }
+
+    #[test]
+    fn would_reject_reports_the_release_deficit() {
+        let mut cfg = MemConfig::paper(1, 16);
+        cfg.l1d.mshrs = 4;
+        cfg.l1d.mshr_targets = 2;
+        let mut m = MemorySystem::new(cfg);
+        let lines = |n: u64, base: u64| -> Vec<_> {
+            (0..n)
+                .map(|i| load(i as usize, base + i * 0x1000))
+                .collect()
+        };
+        // More fresh lines than the file holds, nothing in flight: no
+        // release can help, so there is none to wait for.
+        assert_eq!(m.would_reject(0, &lines(5, 0x10_0000)), Some(0));
+        // Four misses in flight fill the file (the DRAM bus staggers them).
+        for a in lines(4, 0) {
+            m.warp_access(Cycle(0), 0, &[a]).unwrap();
+        }
+        assert_eq!(m.would_reject(0, &lines(1, 0x10_0000)), Some(1));
+        assert_eq!(m.would_reject(0, &lines(3, 0x10_0000)), Some(3));
+        assert_eq!(m.would_reject(0, &lines(5, 0x10_0000)), Some(4), "capped");
+        assert_eq!(m.stats().rejections.get(), 0, "asking is not trying");
+        // Each release pays off one entry of the deficit.
+        for left in [Some(2), Some(1), None] {
+            let before = m.l1_releases(0);
+            complete_all(&mut m);
+            assert_eq!(m.l1_releases(0), before + 1);
+            assert_eq!(m.would_reject(0, &lines(3, 0x10_0000)), left);
+        }
+        // A full target list waits for its own entry, however many are free.
+        let t = m.next_completion_at().unwrap();
+        m.warp_access(t, 0, &[load(0, 0x20_0000), load(1, 0x20_0008)])
+            .unwrap();
+        assert_eq!(m.would_reject(0, &[load(2, 0x20_0010)]), Some(1));
+        assert!(m.warp_access(t, 0, &[load(2, 0x20_0010)]).is_none());
+        assert_eq!(m.stats().rejections.get(), 1);
     }
 
     #[test]

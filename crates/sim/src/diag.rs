@@ -31,7 +31,16 @@ pub struct WpuDiag {
     pub mshr_in_use: usize,
     /// MSHR entry capacity at this WPU's L1.
     pub mshr_capacity: usize,
-    /// The WPU's cached next group wake time, if any.
+    /// Groups spinning on MSHR back-pressure. While a request is
+    /// outstanding they sleep until a fill: `Ready`, due, and left out of
+    /// `next_wake` — not a deadlock.
+    pub mshr_spinners: usize,
+    /// The L1 MSHR-release count the earliest spinner's retry certificate
+    /// waits for.
+    pub retry_at_release: Option<u64>,
+    /// MSHR entries this WPU's L1 has released so far.
+    pub mshr_releases: u64,
+    /// The WPU's cached next group wake time, if any (spinners excluded).
     pub next_wake: Option<u64>,
     /// The earliest pending fill bound for this WPU's L1, if any.
     pub next_fill: Option<u64>,
@@ -62,7 +71,7 @@ impl std::fmt::Display for DiagnosticReport {
             writeln!(
                 f,
                 "WPU {}: last={:?} live={} barrier_waiting={} groups={} \
-                 wst={}/{} (peak {}) mshr={}/{} next_wake={} next_fill={}",
+                 wst={}/{} (peak {}) mshr={}/{} spin={} need={} next_wake={} next_fill={}",
                 w.id,
                 w.last_class,
                 w.live_threads,
@@ -73,6 +82,11 @@ impl std::fmt::Display for DiagnosticReport {
                 w.wst_peak,
                 w.mshr_in_use,
                 w.mshr_capacity,
+                w.mshr_spinners,
+                OrNone(
+                    w.retry_at_release
+                        .map(|at| at.saturating_sub(w.mshr_releases)),
+                ),
                 OrNone(w.next_wake),
                 OrNone(w.next_fill),
             )?;
@@ -116,6 +130,9 @@ mod tests {
                 wst_capacity: 16,
                 mshr_in_use: 1,
                 mshr_capacity: 32,
+                mshr_spinners: 2,
+                retry_at_release: Some(10),
+                mshr_releases: 7,
                 next_wake: Some(130),
                 next_fill: None,
                 groups: "warp=0 pc=5 status=WaitMem".into(),
@@ -125,7 +142,7 @@ mod tests {
         assert!(s.contains("cycle 123"));
         assert!(s.contains("WPU 0"));
         assert!(s.contains("wst=2/16 (peak 4)"));
-        assert!(s.contains("mshr=1/32"));
+        assert!(s.contains("mshr=1/32 spin=2 need=3"));
         assert!(s.contains("next_wake=130"));
         assert!(s.contains("next_fill=-"));
         assert!(s.contains("warp=0 pc=5"));

@@ -130,9 +130,11 @@ impl Machine {
     /// some WPU is due. Cycles a WPU sleeps through are charged lazily via
     /// [`Wpu::account_skipped_stall`] in the class of its last tick — valid
     /// because a stalled WPU's state is frozen between external events, so
-    /// the ticks it skips would all have repeated that classification. The
-    /// result is bit-identical to stepping [`Machine::step`] cycle by
-    /// cycle.
+    /// the ticks it skips would all have repeated that classification (and,
+    /// for groups spinning on MSHR back-pressure, that rejection: an MSHR
+    /// release reaches the WPU as a completion, so spinners need no wake
+    /// time of their own). The result is bit-identical to stepping
+    /// [`Machine::step`] cycle by cycle.
     ///
     /// Adaptive policies ([`Policy::is_adaptive`]) sample cycle counters on
     /// an absolute-cycle cadence; each WPU publishes its next adaptation
@@ -315,6 +317,9 @@ impl Machine {
                     wst_capacity: w.wst_capacity(),
                     mshr_in_use: self.mem.mshr_in_use(i),
                     mshr_capacity: self.mem.mshr_capacity(i),
+                    mshr_spinners: w.mshr_spin().0,
+                    retry_at_release: w.mshr_spin().1,
+                    mshr_releases: self.mem.l1_releases(i),
                     next_wake: w.cached_next_wake().map(Cycle::raw),
                     next_fill: self.mem.next_completion_at_l1(i).map(Cycle::raw),
                     groups: w.dump_groups(),
@@ -401,6 +406,9 @@ mod tests {
                 assert!(rendered.contains("machine state at cycle"));
                 assert!(rendered.contains("mshr="));
                 assert!(rendered.contains("wst="));
+                // FFT's first gathers are still in flight at cycle 100:
+                // nothing has been released and nothing refused yet.
+                assert!(rendered.contains(" spin=0 need=- "));
             }
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -470,7 +478,52 @@ mod tests {
                 assert!(w.live_threads > 0);
                 assert_eq!(w.mshr_in_use, 0, "nothing ever gets an MSHR");
                 assert_eq!(w.mshr_capacity, 1);
-                assert!(diagnostics.to_string().contains("mshr=0/1"));
+                // All four warps spin, awake: no release can ever come.
+                assert_eq!(w.mshr_spinners, 4);
+                assert_eq!((w.retry_at_release, w.mshr_releases), (Some(0), 0));
+                assert_eq!(w.next_wake, Some(diagnostics.cycles));
+                let rendered = diagnostics.to_string();
+                assert!(rendered.contains("mshr=0/1 spin=4 need=0 next_wake="));
+            }
+            other => panic!("expected livelock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mshr_starved_warps_sleep_through_a_fill_then_livelock() {
+        // The same starved gathers, but warp 1 loads a single line first
+        // and holds the only MSHR for a DRAM round trip. While that fill is
+        // in flight the refused warps wait for its release — one processed
+        // cycle, however long it takes, so a livelock window far shorter
+        // than the round trip does not trip. Once it drains nothing is
+        // outstanding, they spin in the open, and the watchdog fires.
+        let mut b = KernelBuilder::new();
+        let tid = b.tid();
+        let a = b.reg();
+        let w = b.reg();
+        b.mul(a, tid, Operand::Imm(1024));
+        b.div(w, tid, Operand::Imm(16));
+        b.if_then(CondOp::Eq, w, Operand::Imm(1), |b| b.li(a, 0));
+        b.load(a, a, 0);
+        b.halt();
+        let program = b.build().unwrap();
+        let spec = KernelSpec::new("mshr-held", program, VecMemory::new(64 * 1024), |_| Ok(()));
+        let mut cfg = SimConfig::paper(Policy::conventional()).with_wpus(1);
+        cfg.mem.l1d.mshrs = 1;
+        cfg.livelock_window = 60;
+        match Machine::run(&cfg, &spec) {
+            Err(SimError::Livelock {
+                cycles,
+                stalled_for,
+                diagnostics,
+            }) => {
+                assert_eq!(stalled_for, 60);
+                assert!(cycles > 100 + 60, "the fill alone is a DRAM access");
+                let w = &diagnostics.wpus[0];
+                assert_eq!(w.live_threads, 48, "warp 1 got its line and halted");
+                assert_eq!((w.mshr_in_use, w.mshr_releases), (0, 1));
+                assert_eq!(w.mshr_spinners, 3);
+                assert!(diagnostics.to_string().contains("mshr=0/1 spin=3 need=0"));
             }
             other => panic!("expected livelock, got {other:?}"),
         }
