@@ -44,6 +44,13 @@ cargo run -q --release --offline --bin dws-cli -- \
 echo "== cargo test (tier-1) =="
 cargo test -q --release --workspace --offline
 
+echo "== cargo test (debug profile: dws-mem, dws-core) =="
+# Everything else here runs --release, where integer-overflow checks are
+# off — which is how the directory's `1 << l1` on a u32 sharer mask
+# survived to 64-WPU machines. One debug pass over the two crates that do
+# the bit arithmetic (masks, sharer sets, rings) keeps those checks in CI.
+cargo test -q --offline -p dws-mem -p dws-core
+
 echo "== tier-1 equivalence guards (named, release) =="
 # The event-driven run loop must stay bit-identical to stepping, and the
 # sanitized random_policies battery checks every ready-ring pick and every
@@ -57,6 +64,18 @@ cargo test -q --release --offline -p dws-core --test random_policies
 # refusals outnumber instructions, certificate oracle forced on.
 cargo test -q --release --offline -p dws-sim --test event_equivalence -- --exact \
   backpressure_sleep_matches_step backpressure_sleep_matches_phased_ticks
+# The indexes on a memory instruction's path against the scans and
+# multi-pass code they replaced (kept as test-only references): the Link
+# epoch ring vs the sorted vector, the group-major coalescer vs the
+# multi-pass one.
+cargo test -q --release --offline -p dws-mem --lib -- \
+  ring_matches_sorted_vector ring_reproduces_the_prune_rule \
+  group_major_coalescer_matches_the_multi_pass_reference \
+  line_back_invalidated_between_passes_matches_the_reference \
+  sharers_past_32_l1s_do_not_alias
+# Recorded goldens: cycles and every counter of 8 kernels x 3 policies x
+# {4, 32} WPUs must match the checked-in table bit for bit.
+cargo test -q --release --offline -p dws-sim --test golden_fingerprints
 # The benchmark's frozen traced driver must still replay the core bit for
 # bit (8 kernels x 3 policies at 4 and 32 WPUs), so a core change it cannot
 # reproduce fails here, before a benchmark run does.

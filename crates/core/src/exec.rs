@@ -15,7 +15,7 @@ use dws_isa::{eval_alu, eval_un, AluOp, CondOp, Src, UnOp};
 
 /// Resolves a predecoded source operand for one lane.
 #[inline(always)]
-fn src(rf: &RegFile, lane: usize, s: Src) -> u64 {
+pub(crate) fn src(rf: &RegFile, lane: usize, s: Src) -> u64 {
     match s {
         Src::Reg(r) => rf.get(r, lane),
         Src::Imm(v) => v,

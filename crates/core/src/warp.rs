@@ -48,6 +48,10 @@ pub struct Warp {
     pub stack: Vec<Frame>,
     /// Lanes whose threads have terminated.
     pub halted: Mask,
+    /// Lanes with an outstanding miss: bit `l` is set exactly while
+    /// `threads[l].pending` is `Some`, so "which lanes arrived?" is one
+    /// mask operation instead of a walk over the thread slots.
+    pub pending_mask: Mask,
     /// Number of live SIMD groups currently representing this warp.
     pub group_count: usize,
 }
@@ -72,6 +76,7 @@ impl Warp {
                 mask: Mask::full(width),
             }],
             halted: Mask::EMPTY,
+            pending_mask: Mask::EMPTY,
             group_count: 0,
         }
     }
@@ -98,8 +103,25 @@ impl Warp {
 
     /// Lanes in `mask` that have no outstanding miss.
     pub fn arrived_lanes(&self, mask: Mask) -> Mask {
-        mask.iter()
-            .filter(|&l| self.threads[l].pending.is_none())
+        mask - self.pending_mask
+    }
+
+    /// Blocks `lane` on the miss `request`.
+    pub fn set_pending(&mut self, lane: usize, request: RequestId) {
+        self.threads[lane].pending = Some(request);
+        self.pending_mask.set(lane);
+    }
+
+    /// Unblocks `lane`: its miss completed.
+    pub fn clear_pending(&mut self, lane: usize) {
+        self.threads[lane].pending = None;
+        self.pending_mask.clear(lane);
+    }
+
+    /// Oracle for `pending_mask`: the same set, from the thread slots.
+    pub fn pending_lanes_by_scan(&self) -> Mask {
+        (0..self.threads.len())
+            .filter(|&l| self.threads[l].pending.is_some())
             .collect()
     }
 }
@@ -143,8 +165,12 @@ mod tests {
     fn arrived_lanes_follow_pending() {
         let p = prog();
         let mut w = Warp::new(0, 4, 0, 4, &p);
-        w.threads[2].pending = Some(RequestId(9));
+        w.set_pending(2, RequestId(9));
         assert_eq!(w.arrived_lanes(Mask::full(4)), Mask(0b1011));
         assert_eq!(w.arrived_lanes(Mask::lane(2)), Mask::EMPTY);
+        assert_eq!(w.pending_lanes_by_scan(), w.pending_mask);
+        w.clear_pending(2);
+        assert_eq!(w.arrived_lanes(Mask::full(4)), Mask::full(4));
+        assert_eq!(w.pending_lanes_by_scan(), Mask::EMPTY);
     }
 }

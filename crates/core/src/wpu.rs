@@ -16,13 +16,14 @@ use crate::trace::{TraceEvent, Tracer};
 use crate::warp::{Frame, Warp};
 use crate::wst::WstAccounting;
 use dws_engine::fault::{FaultInjector, FaultPlan};
-use dws_engine::{Cycle, FastHashMap, Phase, ReadyRing, WakeHeap};
+use dws_engine::{Cycle, Phase, ReadyRing, WakeHeap};
 use dws_isa::cfg::RECONV_NONE;
 use dws_isa::{execute_lane, CondOp, ExecOp, MemoryAccess, Program, Reg, Src, StepOutcome};
 use dws_mem::{
     AccessKind, AccessOutcome, CacheArray, CacheConfig, LaneAccess, MemorySystem, MesiState,
     RequestId,
 };
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Static configuration of one WPU.
@@ -185,14 +186,11 @@ const THROTTLE_MARGIN: f64 = 1.02;
 /// the SIMD width (one entry per lane).
 #[derive(Default)]
 struct IssueScratch {
-    /// Decoded per-lane outcomes of the issuing memory instruction.
-    ops: Vec<(usize, StepOutcome)>,
-    /// The lane accesses handed to the memory system.
+    /// The lane accesses of the issuing memory instruction, decoded
+    /// straight from the register row and handed to the memory system.
     accesses: Vec<LaneAccess>,
     /// Outcomes written back by `MemorySystem::warp_access_into`.
     outcomes: Vec<dws_mem::LaneOutcome>,
-    /// Distinct lines missed by the current warp access.
-    miss_lines: Vec<u64>,
 }
 
 /// A warp processing unit.
@@ -205,7 +203,23 @@ pub struct Wpu {
     wst: WstAccounting,
     current: Option<GroupId>,
     rr_cursor: usize,
-    req_map: FastHashMap<RequestId, (usize, usize)>,
+    /// Outstanding misses by request id: `inflight[id - inflight_base]` is
+    /// the `(warp, lane)` blocked on request `id`, `None` once it
+    /// completed. The L1 numbers its requests densely, so the window from
+    /// the oldest outstanding request to the newest is a ring; completed
+    /// entries are popped off the front, so the ring is empty exactly
+    /// when nothing is outstanding.
+    inflight: VecDeque<Option<(u8, u8)>>,
+    inflight_base: u64,
+    /// Per-warp index of the slab: the slots holding that warp's live
+    /// groups. Maintained only by `spawn_group`/`kill_group`, and walked
+    /// in ascending slot order, so a search over one warp's groups finds
+    /// the same group a slab scan filtered by warp would.
+    warp_slots: Vec<ReadyRing>,
+    /// Empty slab slots; a spawn takes the lowest.
+    free_slots: ReadyRing,
+    /// Live groups.
+    n_groups: usize,
     live_threads: u64,
     slip: SlipCtl,
     throttle: ThrottleCtl,
@@ -322,7 +336,7 @@ impl std::fmt::Debug for Wpu {
         f.debug_struct("Wpu")
             .field("id", &self.cfg.id)
             .field("live_threads", &self.live_threads)
-            .field("groups", &self.groups.iter().flatten().count())
+            .field("groups", &self.n_groups)
             .finish()
     }
 }
@@ -336,6 +350,10 @@ impl Wpu {
     /// Panics on a zero-width/zero-warp configuration.
     pub fn new(cfg: WpuConfig, program: Arc<Program>, base_tid: u64, nthreads: u64) -> Self {
         assert!(cfg.width >= 1 && cfg.n_warps >= 1);
+        assert!(
+            cfg.n_warps <= 256,
+            "more than 256 warps per WPU unsupported"
+        );
         let uniformity = dws_isa::verify::branch_uniformity(program.insts());
         let mut wpu = Wpu {
             warps: Vec::new(),
@@ -344,7 +362,11 @@ impl Wpu {
             wst: WstAccounting::new(cfg.n_warps, cfg.wst_entries),
             current: None,
             rr_cursor: 0,
-            req_map: FastHashMap::default(),
+            inflight: VecDeque::new(),
+            inflight_base: 0,
+            warp_slots: vec![ReadyRing::new(); cfg.n_warps],
+            free_slots: ReadyRing::new(),
+            n_groups: 0,
             live_threads: (cfg.width * cfg.n_warps) as u64,
             slip: SlipCtl {
                 max_div: cfg.width as u32,
@@ -453,7 +475,7 @@ impl Wpu {
 
     /// Live SIMD groups (full warps and splits).
     pub fn groups_alive(&self) -> usize {
-        self.groups.iter().flatten().count()
+        self.n_groups
     }
 
     /// Peak warp-split table occupancy observed.
@@ -478,7 +500,7 @@ impl Wpu {
     /// stretches. The slab-scan reference for
     /// [`cached_next_wake`](Self::cached_next_wake).
     pub fn next_wake_at(&self, now: Cycle) -> Option<Cycle> {
-        let asleep = !self.req_map.is_empty();
+        let asleep = !self.inflight.is_empty();
         self.groups
             .iter()
             .flatten()
@@ -755,6 +777,60 @@ impl Wpu {
             spinning.count(),
             "spinner count drift at {now}"
         );
+        self.assert_index_sync(now);
+    }
+
+    /// Invariant check for the wake-path indexes: the per-warp slot index
+    /// and the free-slot set against a slab scan, each warp's pending mask
+    /// against its thread slots, and the in-flight ring against both.
+    fn assert_index_sync(&self, now: Cycle) {
+        for (i, g) in self.groups.iter().enumerate() {
+            assert_eq!(
+                self.free_slots.contains(i),
+                g.is_none(),
+                "free-slot drift at slot {i}, cycle {now}"
+            );
+            for (w, slots) in self.warp_slots.iter().enumerate() {
+                assert_eq!(
+                    slots.contains(i),
+                    g.as_ref().is_some_and(|g| g.warp == w),
+                    "warp {w} slot index drift at slot {i}, cycle {now}"
+                );
+            }
+        }
+        assert_eq!(
+            self.n_groups,
+            self.groups.iter().flatten().count(),
+            "live group count drift at {now}"
+        );
+        let mut outstanding = 0;
+        for (w, warp) in self.warps.iter().enumerate() {
+            assert_eq!(
+                warp.pending_mask,
+                warp.pending_lanes_by_scan(),
+                "warp {w} pending mask drift at {now}"
+            );
+            for lane in warp.pending_mask.iter() {
+                let req = warp.threads[lane].pending.expect("pending lane");
+                let tracked = (req.0.checked_sub(self.inflight_base))
+                    .and_then(|i| self.inflight.get(i as usize));
+                assert_eq!(
+                    tracked,
+                    Some(&Some((w as u8, lane as u8))),
+                    "in-flight ring lost {req:?} (warp {w} lane {lane}) at {now}"
+                );
+                outstanding += 1;
+            }
+        }
+        assert_eq!(
+            self.inflight.iter().flatten().count(),
+            outstanding,
+            "in-flight ring holds requests no lane waits on at {now}"
+        );
+        assert!(
+            !matches!(self.inflight.front(), Some(None)),
+            "in-flight ring not trimmed at {now}"
+        );
     }
 
     // ---- group slab ---------------------------------------------------------
@@ -767,26 +843,34 @@ impl Wpu {
             g.local_stack = stack;
         }
         self.wst.on_group_created(warp);
-        let gid = match self.groups.iter().position(Option::is_none) {
+        let i = match self.free_slots.next_at_or_after(0) {
             Some(i) => {
+                self.free_slots.remove(i);
                 self.groups[i] = Some(g);
-                GroupId(i)
+                i
             }
             None => {
                 self.groups.push(Some(g));
-                GroupId(self.groups.len() - 1)
+                let n = self.groups.len();
+                self.sched.resize(n, SchedSlot::default());
+                self.ready.grow_to(n);
+                self.free_slots.grow_to(n);
+                n - 1
             }
         };
-        if self.sched.len() < self.groups.len() {
-            self.sched.resize(self.groups.len(), SchedSlot::default());
-        }
-        self.ready.grow_to(self.groups.len());
+        self.warp_slots[warp].grow_to(i + 1);
+        self.warp_slots[warp].insert(i);
+        self.n_groups += 1;
+        let gid = GroupId(i);
         self.resched(gid);
         gid
     }
 
     fn kill_group(&mut self, gid: GroupId) {
         let mut g = self.groups[gid.0].take().expect("kill of dead group");
+        self.warp_slots[g.warp].remove(gid.0);
+        self.free_slots.insert(gid.0);
+        self.n_groups -= 1;
         self.resched(gid);
         let mut stack = std::mem::take(&mut g.local_stack);
         if stack.capacity() > 0 {
@@ -804,15 +888,9 @@ impl Wpu {
         // group standing (every fall-behind merged or terminated).
         if self.wst.groups_of(g.warp) == 1 {
             let last = self
-                .groups
-                .iter()
-                .enumerate()
-                .find(|(_, x)| {
-                    x.as_ref()
-                        .map(|x| x.warp == g.warp && x.status == GroupStatus::SlipStalledAtBranch)
-                        .unwrap_or(false)
-                })
-                .map(|(i, _)| GroupId(i));
+                .warp_groups(g.warp)
+                .find(|(_, x)| x.status == GroupStatus::SlipStalledAtBranch)
+                .map(|(id, _)| id);
             if let Some(last) = last {
                 {
                     let l = self.group_mut(last);
@@ -827,6 +905,23 @@ impl Wpu {
 
     fn group(&self, gid: GroupId) -> &Group {
         self.groups[gid.0].as_ref().expect("live group")
+    }
+
+    /// The live groups of `warp` in ascending slab order, through the
+    /// per-warp slot index: what a slab scan filtered by `g.warp == warp`
+    /// yields, without visiting the other warps' slots.
+    fn warp_groups(&self, warp: usize) -> impl Iterator<Item = (GroupId, &Group)> + '_ {
+        self.warp_slots[warp]
+            .iter()
+            .map(move |i| (GroupId(i), self.group(GroupId(i))))
+    }
+
+    /// The first live group of `warp` at slab index `from` or later. For
+    /// loops that mutate groups as they walk a warp: step `from` past each
+    /// result. (They may kill the group they are visiting, which clears
+    /// only its own slot; none spawns a group or kills another.)
+    fn next_group_of(&self, warp: usize, from: usize) -> Option<GroupId> {
+        self.warp_slots[warp].next_at_or_after(from).map(GroupId)
     }
 
     fn group_mut(&mut self, gid: GroupId) -> &mut Group {
@@ -863,7 +958,9 @@ impl Wpu {
     /// slip suspension) gave their slot up on purpose and re-acquire one
     /// when they wake; promoting them would starve runnable groups.
     fn promote_slot(&mut self) {
-        if self.slots_in_use() >= self.cfg.sched_slots {
+        // Every live group slotted: nobody to promote (the common case —
+        // unsplit warps never outnumber the slots).
+        if self.slots_in_use() >= self.cfg.sched_slots || self.n_groups == self.n_slotted {
             return;
         }
         let candidate = self
@@ -884,36 +981,77 @@ impl Wpu {
 
     // ---- completions --------------------------------------------------------
 
-    /// Delivers a memory-request completion (routed by the simulator).
-    pub fn on_completion(&mut self, req: RequestId, at: Cycle) {
-        let Some((warp, lane)) = self.req_map.remove(&req) else {
+    /// Records that `(warp, lane)` waits on `req`, growing the in-flight
+    /// ring to cover its id.
+    fn track_request(&mut self, req: RequestId, warp: usize, lane: usize) {
+        if self.inflight.is_empty() {
+            self.inflight_base = req.0;
+        }
+        // One access's ids come back in lane order, not id order: the
+        // first of them seen is not necessarily the lowest.
+        while req.0 < self.inflight_base {
+            self.inflight.push_front(None);
+            self.inflight_base -= 1;
+        }
+        let i = (req.0 - self.inflight_base) as usize;
+        while self.inflight.len() <= i {
+            self.inflight.push_back(None);
+        }
+        debug_assert!(self.inflight[i].is_none(), "request {req:?} issued twice");
+        self.inflight[i] = Some((warp as u8, lane as u8));
+    }
+
+    /// Retires `req` from the in-flight ring, returning who waited on it.
+    fn untrack_request(&mut self, req: RequestId) -> (usize, usize) {
+        let waiter = req
+            .0
+            .checked_sub(self.inflight_base)
+            .and_then(|i| self.inflight.get_mut(i as usize))
+            .and_then(Option::take);
+        let Some((warp, lane)) = waiter else {
             panic!("completion for unknown request {req:?}");
         };
-        self.warps[warp].threads[lane].pending = None;
+        while let Some(None) = self.inflight.front() {
+            self.inflight.pop_front();
+            self.inflight_base += 1;
+        }
+        (usize::from(warp), usize::from(lane))
+    }
+
+    /// Delivers a memory-request completion (routed by the simulator).
+    pub fn on_completion(&mut self, req: RequestId, at: Cycle) {
+        let (warp, lane) = self.untrack_request(req);
+        self.warps[warp].clear_pending(lane);
         // Find the group owning this lane and re-evaluate its wait.
         let gid = self
-            .groups
-            .iter()
-            .enumerate()
-            .find(|(_, g)| {
+            .warp_groups(warp)
+            .find(|(_, g)| g.mask.contains(lane))
+            .map(|(id, _)| id);
+        if self.check_oracle {
+            let by_scan = self.groups.iter().position(|g| {
                 g.as_ref()
-                    .map(|g| g.warp == warp && g.mask.contains(lane))
-                    .unwrap_or(false)
-            })
-            .map(|(i, _)| GroupId(i));
+                    .is_some_and(|g| g.warp == warp && g.mask.contains(lane))
+            });
+            assert_eq!(
+                gid,
+                by_scan.map(GroupId),
+                "warp slot index diverged from slab scan (completion {req:?})"
+            );
+            assert_eq!(
+                self.warps[warp].pending_mask,
+                self.warps[warp].pending_lanes_by_scan(),
+                "pending mask diverged from thread slots (completion {req:?})"
+            );
+        }
         let Some(gid) = gid else {
             // The thread's group vanished (e.g. it halted) — nothing to wake.
             return;
         };
-        let arrived = {
-            let g = self.group(gid);
-            self.warps[warp].arrived_lanes(g.mask) == g.mask
-        };
-        if !arrived {
+        let g = self.group(gid);
+        if !g.mask.is_disjoint(self.warps[warp].pending_mask) {
             return;
         }
-        let status = self.group(gid).status;
-        match status {
+        match g.status {
             GroupStatus::WaitMem => {
                 // Fault injection: jitter the wakeup. Timing-only — the
                 // group still flows through resched and the pending heap.
@@ -926,7 +1064,7 @@ impl Wpu {
                     self.try_pc_merge_at(gid, at);
                 }
             }
-            GroupStatus::SlipSuspended if self.group(gid).slip_catchup => {
+            GroupStatus::SlipSuspended if g.slip_catchup => {
                 let jitter = self.fault.as_mut().map_or(0, FaultInjector::wake_jitter);
                 let g = self.group_mut(gid);
                 g.status = GroupStatus::Ready;
@@ -1182,7 +1320,7 @@ impl Wpu {
         if ready.filter(|g| g.ready_at == now + 1).count() == k {
             self.spinners = k;
             self.spin_from = now + 1;
-            if !self.req_map.is_empty() {
+            if !self.inflight.is_empty() {
                 self.next_wake = self.next_wake_at(now);
             }
         }
@@ -1256,15 +1394,13 @@ impl Wpu {
         // re-union happens even when that PC is a re-convergence point).
         if matches!(self.cfg.policy, Policy::Slip(_)) && self.group(gid).slip_catchup {
             let pc = self.group(gid).pc;
-            if let Some(primary) = (0..self.groups.len()).map(GroupId).find(|&s| {
+            let primary = self.warp_groups(warp).find(|&(s, sg)| {
                 s != gid
-                    && self.groups[s.0].as_ref().is_some_and(|sg| {
-                        sg.warp == warp
-                            && sg.status == GroupStatus::SlipStalledAtBranch
-                            && sg.pc == pc
-                            && sg.local_ctx_compatible(self.group(gid))
-                    })
-            }) {
+                    && sg.status == GroupStatus::SlipStalledAtBranch
+                    && sg.pc == pc
+                    && sg.local_ctx_compatible(self.group(gid))
+            });
+            if let Some((primary, _)) = primary {
                 // kill_group (via merge_into) wakes the primary once it is
                 // the last group of the warp.
                 self.merge_into(primary, gid, now);
@@ -1418,9 +1554,8 @@ impl Wpu {
         let mut pc = None;
         let mut union = Mask::EMPTY;
         let mut survivor: Option<GroupId> = None;
-        for (i, g) in self.groups.iter().enumerate() {
-            let Some(g) = g else { continue };
-            if g.warp != warp || g.status != GroupStatus::WaitReconv {
+        for (i, g) in self.warp_groups(warp) {
+            if g.status != GroupStatus::WaitReconv {
                 continue;
             }
             // All waiters must be at the same PC.
@@ -1431,21 +1566,20 @@ impl Wpu {
             }
             union = union | g.mask;
             survivor = match survivor {
-                Some(s) if self.groups[s.0].as_ref().expect("live").seq <= g.seq => Some(s),
-                _ => Some(GroupId(i)),
+                Some(s) if self.group(s).seq <= g.seq => Some(s),
+                _ => Some(i),
             };
         }
         let Some(survivor) = survivor else { return };
         if union != self.warps[warp].tos_live_mask() {
             return;
         }
-        // Merge into the oldest.
-        for i in (0..self.groups.len()).map(GroupId) {
-            let is_waiter = i != survivor
-                && self.groups[i.0]
-                    .as_ref()
-                    .is_some_and(|g| g.warp == warp && g.status == GroupStatus::WaitReconv);
-            if is_waiter {
+        // Merge into the oldest. Killing a waiter only clears its own slot,
+        // so the walk carries on from the next one.
+        let mut from = 0;
+        while let Some(i) = self.next_group_of(warp, from) {
+            from = i.0 + 1;
+            if i != survivor && self.group(i).status == GroupStatus::WaitReconv {
                 let mask = self.group(i).mask;
                 let wtrips = self.group(i).spine_trips;
                 let strips = self.group(survivor).spine_trips;
@@ -1491,12 +1625,23 @@ impl Wpu {
         }
         let warp = self.group(gid).warp;
         loop {
-            let partner = (0..self.groups.len()).map(GroupId).find(|&s| {
-                s != gid
-                    && self.groups[s.0]
-                        .as_ref()
-                        .is_some_and(|sg| sg.warp == warp && self.group(gid).can_merge_with(sg))
-            });
+            let g = self.group(gid);
+            let partner = self
+                .warp_groups(warp)
+                .find(|&(s, sg)| s != gid && g.can_merge_with(sg))
+                .map(|(s, _)| s);
+            if self.check_oracle {
+                let by_scan = (0..self.groups.len()).map(GroupId).find(|&s| {
+                    s != gid
+                        && self.groups[s.0]
+                            .as_ref()
+                            .is_some_and(|sg| g.can_merge_with(sg))
+                });
+                assert_eq!(
+                    partner, by_scan,
+                    "warp slot index diverged from slab scan (PC merge at {now})"
+                );
+            }
             match partner {
                 Some(p) => {
                     // Keep the older as survivor for deterministic naming.
@@ -1569,18 +1714,14 @@ impl Wpu {
     // ---- slip helpers -------------------------------------------------------
 
     fn has_slip_suspended(&self, warp: usize) -> bool {
-        self.groups
-            .iter()
-            .flatten()
-            .any(|g| g.warp == warp && g.status == GroupStatus::SlipSuspended)
+        self.warp_groups(warp)
+            .any(|(_, g)| g.status == GroupStatus::SlipSuspended)
     }
 
     fn slip_suspended_count(&self, warp: usize) -> u32 {
-        self.groups
-            .iter()
-            .flatten()
-            .filter(|g| g.warp == warp && g.status == GroupStatus::SlipSuspended)
-            .map(|g| g.mask.count())
+        self.warp_groups(warp)
+            .filter(|(_, g)| g.status == GroupStatus::SlipSuspended)
+            .map(|(_, g)| g.mask.count())
             .sum()
     }
 
@@ -1590,16 +1731,17 @@ impl Wpu {
     fn slip_merge_at(&mut self, gid: GroupId) {
         let warp = self.group(gid).warp;
         let pc = self.group(gid).pc;
-        while let Some(s) = (0..self.groups.len()).map(GroupId).find(|&s| {
-            s != gid
-                && self.groups[s.0].as_ref().is_some_and(|sg| {
-                    sg.warp == warp
-                        && sg.status == GroupStatus::SlipSuspended
-                        && sg.slip_pc == Some(pc)
-                        && self.warps[warp].arrived_lanes(sg.mask) == sg.mask
-                        && self.group(gid).local_ctx_compatible(sg)
-                })
-        }) {
+        let arrived_at_pc = |this: &Self| {
+            let found = this.warp_groups(warp).find(|&(s, sg)| {
+                s != gid
+                    && sg.status == GroupStatus::SlipSuspended
+                    && sg.slip_pc == Some(pc)
+                    && sg.mask.is_disjoint(this.warps[warp].pending_mask)
+                    && this.group(gid).local_ctx_compatible(sg)
+            });
+            found.map(|(s, _)| s)
+        };
+        while let Some(s) = arrived_at_pc(self) {
             self.merge_into(gid, s, Cycle::ZERO);
             self.stats.slip_merges.incr();
             self.refused = None;
@@ -1610,19 +1752,18 @@ impl Wpu {
     /// run-ahead can no longer revisit them: stalled at a branch, at a
     /// barrier, or terminated).
     fn release_slip_catchups(&mut self, warp: usize, now: Cycle) {
-        // Direct index scan (no candidate list): releasing a group flips it
-        // out of SlipSuspended, so later indices still see the original set.
-        for gid in (0..self.groups.len()).map(GroupId) {
-            let matches = self.groups[gid.0]
-                .as_ref()
-                .is_some_and(|g| g.warp == warp && g.status == GroupStatus::SlipSuspended);
-            if !matches {
+        // Walks the warp's slots (no candidate list): releasing a group flips
+        // it out of SlipSuspended, so later slots still see the original set.
+        let mut from = 0;
+        while let Some(gid) = self.next_group_of(warp, from) {
+            from = gid.0 + 1;
+            if self.group(gid).status != GroupStatus::SlipSuspended {
                 continue;
             }
-            let arrived = {
-                let g = self.group(gid);
-                self.warps[warp].arrived_lanes(g.mask) == g.mask
-            };
+            let arrived = self
+                .group(gid)
+                .mask
+                .is_disjoint(self.warps[warp].pending_mask);
             let g = self.group_mut(gid);
             g.slip_catchup = true;
             if arrived {
@@ -2085,67 +2226,47 @@ impl Wpu {
 
         // Borrow the per-tick scratch buffers out of `self` for the
         // duration of the access (restored at the end).
-        let mut ops = std::mem::take(&mut self.scratch.ops);
         let mut accesses = std::mem::take(&mut self.scratch.accesses);
         let mut outcomes = std::mem::take(&mut self.scratch.outcomes);
-        let mut miss_lines = std::mem::take(&mut self.scratch.miss_lines);
-        ops.clear();
         accesses.clear();
-        miss_lines.clear();
 
         // Decode per-lane addresses (no functional effect yet): one µop
-        // dispatch for the whole warp, with the register row streamed out
-        // of the SoA file.
+        // dispatch for the whole warp, with the base-register row streamed
+        // out of the SoA file straight into the lane accesses.
         let rf = &self.warps[warp].regs;
-        match op {
-            ExecOp::Load { dst, base, offset } => {
-                for lane in mask.iter() {
-                    let addr = rf.get(base, lane).wrapping_add(offset);
-                    ops.push((
-                        lane,
-                        StepOutcome::Load {
-                            addr,
-                            dst: Reg(dst),
-                        },
-                    ));
-                }
-            }
-            ExecOp::Store { src, base, offset } => {
-                for lane in mask.iter() {
-                    let addr = rf.get(base, lane).wrapping_add(offset);
-                    let value = match src {
-                        Src::Reg(r) => rf.get(r, lane),
-                        Src::Imm(v) => v,
-                    };
-                    ops.push((lane, StepOutcome::Store { addr, value }));
-                }
-            }
+        let (kind, base, offset) = match op {
+            ExecOp::Load { base, offset, .. } => (AccessKind::Load, base, offset),
+            ExecOp::Store { base, offset, .. } => (AccessKind::Store, base, offset),
             _ => unreachable!("exec_memory on non-memory µop"),
-        }
+        };
+        accesses.extend(mask.iter().map(|lane| LaneAccess {
+            lane,
+            addr: rf.get(base, lane).wrapping_add(offset),
+            kind,
+        }));
         if self.check_oracle {
             let inst = self.program.inst(pc);
-            for &(lane, out) in &ops {
-                let mut sh = rf.shadow(lane);
-                let expect = execute_lane(&mut sh, inst);
+            for a in &accesses {
+                let uop = match op {
+                    ExecOp::Load { dst, .. } => StepOutcome::Load {
+                        addr: a.addr,
+                        dst: Reg(dst),
+                    },
+                    ExecOp::Store { src, .. } => StepOutcome::Store {
+                        addr: a.addr,
+                        value: exec::src(rf, a.lane, src),
+                    },
+                    _ => unreachable!(),
+                };
+                let mut sh = rf.shadow(a.lane);
                 assert_eq!(
-                    out, expect,
-                    "µop address generation diverged from per-lane oracle at pc {pc} lane {lane}"
+                    uop,
+                    execute_lane(&mut sh, inst),
+                    "µop address generation diverged from per-lane oracle at pc {pc} lane {}",
+                    a.lane
                 );
             }
         }
-        accesses.extend(ops.iter().map(|&(lane, out)| match out {
-            StepOutcome::Load { addr, .. } => LaneAccess {
-                lane,
-                addr,
-                kind: AccessKind::Load,
-            },
-            StepOutcome::Store { addr, .. } => LaneAccess {
-                lane,
-                addr,
-                kind: AccessKind::Store,
-            },
-            other => unreachable!("memory inst produced {other:?}"),
-        }));
 
         let issued = 'body: {
             if certified {
@@ -2161,36 +2282,48 @@ impl Wpu {
                 // MSHRs exhausted: other groups issue while this one waits
                 // out its deficit in releases (1 when only fault injection's
                 // withholding explains the refusal).
-                let deficit = mem.would_reject(self.cfg.id, &accesses).unwrap_or(1);
+                let deficit = mem.refusal_deficit(self.cfg.id);
+                if self.check_oracle {
+                    let probed = mem.would_reject(self.cfg.id, &accesses);
+                    assert_eq!(
+                        deficit,
+                        probed.unwrap_or(1),
+                        "refusal deficit diverged from a fresh probe at pc {pc} cycle {now}"
+                    );
+                }
                 let retry_at = mem.l1_releases(self.cfg.id) + deficit as u64;
                 self.group_mut(gid).reject_memo = Some((pc, mask, retry_at));
                 break 'body false;
             }
 
             self.stats.on_issue(mask.count());
-            match op {
-                ExecOp::Load { .. } => self.stats.loads.add(mask.count() as u64),
-                _ => self.stats.stores.add(mask.count() as u64),
-            }
 
             // Functional effects (data-race-free kernels make ordering benign).
-            for &(lane, out) in &ops {
-                match out {
-                    StepOutcome::Load { addr, dst } => {
-                        let v = data.load_word(addr);
-                        self.warps[warp].regs.set(dst.0, lane, v);
+            match op {
+                ExecOp::Load { dst, .. } => {
+                    self.stats.loads.add(mask.count() as u64);
+                    let rf = &mut self.warps[warp].regs;
+                    for a in &accesses {
+                        rf.set(dst, a.lane, data.load_word(a.addr));
                     }
-                    StepOutcome::Store { addr, value } => {
-                        data.store_word(addr, value);
-                    }
-                    _ => unreachable!(),
                 }
+                ExecOp::Store { src, .. } => {
+                    self.stats.stores.add(mask.count() as u64);
+                    let rf = &self.warps[warp].regs;
+                    for a in &accesses {
+                        data.store_word(a.addr, exec::src(rf, a.lane, src));
+                    }
+                }
+                _ => unreachable!(),
             }
 
-            // Classify outcomes.
+            // Classify outcomes. A warp access is divergent when it mixes
+            // hits and misses or its misses span more than one line.
             let mut hit_mask = Mask::EMPTY;
             let mut miss_mask = Mask::EMPTY;
             let mut hit_ready = now;
+            let mut miss_line = None;
+            let mut miss_lines_differ = false;
             for (o, a) in outcomes.iter().zip(&accesses) {
                 match o.outcome {
                     AccessOutcome::Hit { ready_at } => {
@@ -2199,18 +2332,17 @@ impl Wpu {
                     }
                     AccessOutcome::Miss { request } => {
                         miss_mask.set(o.lane);
-                        self.warps[warp].threads[o.lane].pending = Some(request);
-                        self.warps[warp].threads[o.lane].miss_count += 1;
-                        self.req_map.insert(request, (warp, o.lane));
+                        let w = &mut self.warps[warp];
+                        w.set_pending(o.lane, request);
+                        w.threads[o.lane].miss_count += 1;
+                        self.track_request(request, warp, o.lane);
                         let line = mem.line_of(a.addr);
-                        if !miss_lines.contains(&line) {
-                            miss_lines.push(line);
-                        }
+                        miss_lines_differ |= *miss_line.get_or_insert(line) != line;
                     }
                 }
             }
             let any_miss = !miss_mask.is_empty();
-            let divergent = (any_miss && !hit_mask.is_empty()) || miss_lines.len() > 1;
+            let divergent = (any_miss && !hit_mask.is_empty()) || miss_lines_differ;
             self.stats.on_mem_access(any_miss, divergent);
 
             self.group_mut(gid).pc = pc + 1;
@@ -2305,10 +2437,8 @@ impl Wpu {
             true
         };
 
-        self.scratch.ops = ops;
         self.scratch.accesses = accesses;
         self.scratch.outcomes = outcomes;
-        self.scratch.miss_lines = miss_lines;
         if issued {
             ExecResult::Issued
         } else {
@@ -2361,7 +2491,10 @@ impl Wpu {
     /// ReviveSplit: when the pipeline stalls, let arrived threads of one
     /// suspended group run ahead (paper Section 5.2).
     fn try_revive(&mut self, now: Cycle) {
-        if !self.splits_allowed() || self.slots_in_use() >= self.cfg.sched_slots {
+        if !self.splits_allowed()
+            || self.slots_in_use() >= self.cfg.sched_slots
+            || self.n_wait_mem == 0
+        {
             return;
         }
         let candidate = self
@@ -2492,20 +2625,15 @@ impl Wpu {
         for warp in 0..self.cfg.n_warps {
             // Oldest waiter survives; found by scan, no candidate list.
             let survivor = self
-                .groups
-                .iter()
-                .enumerate()
-                .filter_map(|(i, g)| g.as_ref().map(|g| (i, g)))
-                .filter(|(_, g)| g.warp == warp && g.status == GroupStatus::WaitBarrier)
+                .warp_groups(warp)
+                .filter(|(_, g)| g.status == GroupStatus::WaitBarrier)
                 .min_by_key(|(_, g)| g.seq)
-                .map(|(i, _)| GroupId(i));
+                .map(|(i, _)| i);
             let Some(survivor) = survivor else { continue };
-            for i in (0..self.groups.len()).map(GroupId) {
-                let is_waiter = i != survivor
-                    && self.groups[i.0]
-                        .as_ref()
-                        .is_some_and(|g| g.warp == warp && g.status == GroupStatus::WaitBarrier);
-                if is_waiter {
+            let mut from = 0;
+            while let Some(i) = self.next_group_of(warp, from) {
+                from = i.0 + 1;
+                if i != survivor && self.group(i).status == GroupStatus::WaitBarrier {
                     let mask = self.group(i).mask;
                     self.group_mut(survivor).mask = self.group(survivor).mask | mask;
                     self.kill_group(i);
@@ -2619,6 +2747,39 @@ mod tests {
         b.load(a, a, 0);
         b.halt();
         b.build().unwrap()
+    }
+
+    /// The in-flight ring maps a request id back to its waiter whatever
+    /// order one access's ids are tracked and completed in, and is empty
+    /// exactly when nothing is outstanding.
+    #[test]
+    fn inflight_ring_tracks_requests_in_any_order() {
+        let mut r = Rig::new(load_kernel(4), 4, FaultPlan::NONE);
+        let w = &mut r.wpu;
+        // Group-major ids seen in lane order: 12, then 10 and 11 below it.
+        w.track_request(RequestId(12), 1, 0);
+        w.track_request(RequestId(10), 1, 1);
+        w.track_request(RequestId(11), 1, 2);
+        w.track_request(RequestId(15), 3, 3);
+        assert_eq!((w.inflight_base, w.inflight.len()), (10, 6));
+        assert_eq!(w.untrack_request(RequestId(11)), (1, 2));
+        assert_eq!(w.untrack_request(RequestId(10)), (1, 1));
+        assert_eq!(w.inflight_base, 12, "completed front entries are trimmed");
+        assert_eq!(w.untrack_request(RequestId(15)), (3, 3));
+        assert_eq!(w.untrack_request(RequestId(12)), (1, 0));
+        assert!(w.inflight.is_empty());
+        // An emptied ring re-anchors at whatever comes next.
+        w.track_request(RequestId(3), 0, 0);
+        assert_eq!(w.untrack_request(RequestId(3)), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown request")]
+    fn completion_for_an_untracked_request_panics() {
+        let mut r = Rig::new(load_kernel(4), 4, FaultPlan::NONE);
+        r.wpu.track_request(RequestId(5), 0, 0);
+        r.wpu.track_request(RequestId(7), 0, 1);
+        r.wpu.on_completion(RequestId(6), Cycle(9));
     }
 
     /// The replay law: sleeping through `n` pure-spin cycles and ticking

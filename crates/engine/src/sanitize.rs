@@ -2,7 +2,8 @@
 //!
 //! Debug builds cross-check every event-driven/predecoded fast path
 //! against the exhaustive oracle it replaced (scheduler ring vs slab scan,
-//! µop kernels vs per-lane interpreter, fill mirror vs event queue). Those
+//! µop kernels vs per-lane interpreter, wake-path indexes vs slab scans,
+//! fill mirror vs event queue). Those
 //! checks compile out of release builds — exactly the builds chaos sweeps
 //! run at. Setting `DWS_SANITIZE=1` (or `true`) re-enables them at runtime
 //! so a release-mode fault-injection run still validates the fast paths it

@@ -10,7 +10,10 @@
 //! - [`ReadyRing`]: a fixed-capacity bitset with a circular
 //!   next-from-cursor scan, giving round-robin selection over the set of
 //!   currently-issuable groups in O(words) instead of O(groups) with a
-//!   per-element predicate.
+//!   per-element predicate. The WPU also uses it as a plain slab-slot set
+//!   (each warp's live groups, the free slots), walked in ascending order
+//!   with [`ReadyRing::iter`] or, while mutating, by stepping
+//!   [`ReadyRing::next_at_or_after`].
 //!
 //! Both are allocation-quiet in steady state: `WakeHeap` reuses its
 //! `BinaryHeap` capacity and `ReadyRing` only grows when the backing slab
@@ -242,6 +245,26 @@ impl ReadyRing {
         self.scan(cursor, self.len).or_else(|| self.scan(0, cursor))
     }
 
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        })
+    }
+
+    /// The first member at or after `from`, without wrapping: stepping
+    /// `from` past each result visits the members in ascending order.
+    pub fn next_at_or_after(&self, from: usize) -> Option<usize> {
+        self.scan(from, self.len)
+    }
+
     /// First member in `[from, to)`, by word-level scan.
     fn scan(&self, from: usize, to: usize) -> Option<usize> {
         if from >= to {
@@ -405,6 +428,24 @@ mod tests {
                 assert_eq!(r.next_from(cursor), reference, "n={n} cursor={cursor}");
             }
         }
+    }
+
+    #[test]
+    fn ready_ring_ascending_walk_visits_every_member_once() {
+        let mut r = ReadyRing::new();
+        r.grow_to(200);
+        let members = [0, 5, 63, 64, 127, 128, 199];
+        members.iter().for_each(|&i| r.insert(i));
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(i) = r.next_at_or_after(from) {
+            seen.push(i);
+            from = i + 1;
+        }
+        assert_eq!(seen, members);
+        assert_eq!(r.iter().collect::<Vec<_>>(), members);
+        assert_eq!(r.next_at_or_after(200), None);
+        assert_eq!(r.next_at_or_after(1_000), None);
     }
 
     #[test]

@@ -25,7 +25,11 @@ const CTRL_MSG_BYTES: u64 = 8;
 /// Salt separating the memory system's fault-draw stream from the WPUs'.
 const MEM_FAULT_SALT: u64 = 0x4d45_4d31;
 
-/// Globally unique identifier of one lane's outstanding memory request.
+/// Globally unique identifier of one lane's outstanding memory request:
+/// the issuing L1's index in the top 16 bits, that L1's issue sequence
+/// number below. One L1's ids are therefore dense — the missing lanes of a
+/// warp access take one contiguous range, the next access continues from
+/// it — so a requester can index its outstanding requests by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
@@ -84,13 +88,70 @@ pub struct Completion {
     pub at: Cycle,
 }
 
+/// The most L1s a machine can have: the width of a directory sharer set.
+pub const MAX_L1S: usize = 128;
+
+/// The set of L1s holding a line, one bit per L1. Two words rather than a
+/// `u128` so a directory entry stays 8-byte aligned and its map slot 32
+/// bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sharers([u64; MAX_L1S / 64]);
+
+impl Sharers {
+    fn only(l1: usize) -> Self {
+        let mut s = Sharers::default();
+        s.insert(l1);
+        s
+    }
+
+    fn insert(&mut self, l1: usize) {
+        self.0[l1 / 64] |= 1 << (l1 % 64);
+    }
+
+    fn remove(&mut self, l1: usize) {
+        self.0[l1 / 64] &= !(1 << (l1 % 64));
+    }
+
+    fn without(mut self, l1: usize) -> Self {
+        self.remove(l1);
+        self
+    }
+
+    fn is_empty(self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// Members in ascending order.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
 /// Directory entry for an L2-resident line.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
-    /// Bitmask of L1s holding the line.
-    sharers: u32,
+    /// L1s holding the line.
+    sharers: Sharers,
     /// L1 holding the line in M/E, if any.
-    owner: Option<usize>,
+    owner: Option<u8>,
+}
+
+impl DirEntry {
+    fn owner(&self) -> Option<usize> {
+        self.owner.map(usize::from)
+    }
+
+    fn set_owner(&mut self, l1: usize) {
+        self.owner = Some(l1 as u8);
+    }
 }
 
 struct L1 {
@@ -104,6 +165,11 @@ struct L1 {
     /// ([`MemorySystem::would_reject`]), so refused groups key their retry
     /// on this count ([`MemorySystem::l1_releases`]).
     releases: u64,
+    /// The MSHR deficit of the last warp access this L1 refused
+    /// ([`MemorySystem::refusal_deficit`]).
+    refused_deficit: usize,
+    /// The next request id this L1 hands out.
+    next_req: u64,
 }
 
 struct L2 {
@@ -165,34 +231,63 @@ pub struct MemStats {
     pub mlp: Distribution,
 }
 
+/// One L1-D line touched by a warp access (grouping pass).
+#[derive(Debug, Clone, Copy)]
+struct LineGroup {
+    line: u64,
+    any_store: bool,
+    /// Lanes of the access that fall in this line.
+    lanes: u32,
+}
+
+/// What the feasibility pass found for a line group, replayed by the apply
+/// pass without re-scanning the set or re-hashing the line.
+#[derive(Debug, Clone, Copy)]
+struct GroupLookup {
+    state: MesiState,
+    way: Option<usize>,
+    /// The line's outstanding MSHR (not looked up when the line hits).
+    /// Still exact when the group is applied — entries are only released
+    /// by a drain, and the groups applied before it allocate for other
+    /// lines.
+    mshr: Option<MshrId>,
+}
+
+/// Whether an access to a line in `state` (a store, if `any_store`) hits.
+fn line_hits(state: MesiState, any_store: bool) -> bool {
+    state.valid() && (!any_store || state.writable())
+}
+
+/// What the apply pass resolved a line group to, consumed lane by lane.
+#[derive(Debug, Clone, Copy)]
+struct GroupOutcome {
+    /// The request id the group's next missing lane takes; `None` when the
+    /// line hit.
+    next_req: Option<u64>,
+    /// Words of the line some earlier lane touched. A word can only repeat
+    /// inside its own line, so this answers "seen before?" for the
+    /// bank-conflict model.
+    seen_words: u64,
+}
+
 /// Reusable per-call buffers for [`MemorySystem::warp_access_into`]. These
-/// keep the per-instruction hot path free of heap allocation: each vector
-/// is `take`n at entry, cleared, and put back at exit, so capacity persists
-/// across calls.
+/// keep the per-instruction hot path free of heap allocation: the struct is
+/// `take`n at entry and put back at exit, so capacity persists across
+/// calls. One vector per pass, parallel by group, so a refused access only
+/// writes what the passes it reached produce.
 #[derive(Default)]
 struct WarpScratch {
-    /// Distinct lines touched this access: `(line, any_store)`.
-    groups: Vec<(u64, bool)>,
+    /// Distinct lines touched this access, in first-appearance order.
+    groups: Vec<LineGroup>,
     /// For each access index, the index of its line group.
-    lane_group: Vec<usize>,
-    /// Per-group lane count, filled during grouping.
-    group_count: Vec<u32>,
-    /// Per-group tag lookup from the feasibility pass `(state, way)`, so
-    /// the apply pass replays it without re-scanning the set.
-    group_info: Vec<(MesiState, Option<usize>)>,
-    /// Prefix sums of `group_count` (`groups.len() + 1` entries).
-    group_start: Vec<u32>,
-    /// Write cursors for the counting sort into `group_lanes`.
-    group_cursor: Vec<u32>,
-    /// Access indices counting-sorted by group: group `g`'s lanes are
-    /// `group_lanes[group_start[g]..group_start[g + 1]]`, in input order.
-    group_lanes: Vec<u32>,
-    /// Distinct words in first-appearance order, with their bank delay.
-    word_delay: Vec<(u64, u64)>,
+    lane_group: Vec<u32>,
+    lookups: Vec<GroupLookup>,
+    outcomes: Vec<GroupOutcome>,
+    /// Bank delay of each word seen so far, at `group * words_per_line +
+    /// word_in_line`; valid where the group's `seen_words` bit is set.
+    word_delay: Vec<u64>,
     /// Distinct words seen so far per bank.
     bank_count: Vec<u64>,
-    /// Per-access bank-queueing delay in cycles.
-    lane_delay: Vec<u64>,
 }
 
 /// The full memory system shared by all WPUs.
@@ -203,12 +298,14 @@ pub struct MemorySystem {
     xbar: Crossbar,
     dram: Dram,
     events: EventQueue<(usize, MshrId)>,
-    next_req: u64,
     stats: MemStats,
     scratch: WarpScratch,
     /// `log2(l1d.line_bytes)` when that is a power of two, so the per-lane
     /// address-to-line conversion is a shift instead of a 64-bit divide.
     l1d_shift: Option<u32>,
+    /// `l1d.banks - 1` when that is a power of two, so the per-lane
+    /// word-to-bank conversion is a mask.
+    l1d_bank_mask: Option<u64>,
     /// Deterministic timing-fault injection; `None` outside chaos runs.
     fault: Option<FaultInjector>,
     /// Run the fill-mirror invariant check even in release builds
@@ -227,13 +324,30 @@ impl std::fmt::Debug for MemorySystem {
 
 impl MemorySystem {
     /// Builds the hierarchy for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 128 L1s (the directory's sharer sets are that
+    /// wide), or on an L1-D line that is not 1 to 64 whole words.
     pub fn new(cfg: MemConfig) -> Self {
-        let l1s = (0..cfg.n_l1s)
-            .map(|_| L1 {
+        assert!(
+            cfg.n_l1s <= MAX_L1S,
+            "{} L1s exceed the directory's {MAX_L1S}-wide sharer sets",
+            cfg.n_l1s
+        );
+        assert!(
+            cfg.l1d.line_bytes.is_multiple_of(8) && (8..=512).contains(&cfg.l1d.line_bytes),
+            "an L1-D line must hold 1 to 64 whole words, not {} bytes",
+            cfg.l1d.line_bytes
+        );
+        let l1s = (0..cfg.n_l1s as u64)
+            .map(|i| L1 {
                 array: CacheArray::new(&cfg.l1d),
                 mshrs: MshrFile::new(cfg.l1d.mshrs, cfg.l1d.mshr_targets),
                 fills: WakeHeap::new(),
                 releases: 0,
+                refused_deficit: 0,
+                next_req: i << 48,
             })
             .collect();
         let l2 = L2 {
@@ -249,7 +363,6 @@ impl MemorySystem {
             xbar: Crossbar::new(cfg.crossbar_latency, cfg.crossbar_bytes_per_cycle),
             dram: Dram::new(cfg.dram_latency, cfg.dram_bytes_per_cycle),
             events: EventQueue::new(),
-            next_req: 0,
             stats: MemStats::default(),
             scratch: WarpScratch::default(),
             l1d_shift: cfg
@@ -257,6 +370,11 @@ impl MemorySystem {
                 .line_bytes
                 .is_power_of_two()
                 .then(|| cfg.l1d.line_bytes.trailing_zeros()),
+            l1d_bank_mask: cfg
+                .l1d
+                .banks
+                .is_power_of_two()
+                .then(|| cfg.l1d.banks as u64 - 1),
             fault: None,
             strict_checks: cfg!(debug_assertions) || dws_engine::sanitize::enabled(),
             cfg,
@@ -283,12 +401,6 @@ impl MemorySystem {
         }
     }
 
-    fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId(self.next_req);
-        self.next_req += 1;
-        id
-    }
-
     /// Presents one warp memory instruction (the active lanes' addresses)
     /// to L1 `l1`. Returns per-lane outcomes in input order, or `None` if
     /// MSHR resources are exhausted (no state is modified in that case) —
@@ -310,50 +422,61 @@ impl MemorySystem {
     }
 
     /// Groups `accesses` by L1-D line into `s`, preserving first-appearance
-    /// order. Warp width is small (<= 64), so linear scans beat hashing.
+    /// order. Neighbouring lanes usually share a line, so the previous
+    /// lane's group is tried first; warp width is small (<= 64), so the
+    /// fallback linear scan beats hashing.
     fn group_by_line(&self, accesses: &[LaneAccess], s: &mut WarpScratch) {
         s.groups.clear();
         s.lane_group.clear();
-        s.group_count.clear();
+        let mut g = 0;
         for a in accesses {
             let line = self.line_of(a.addr);
-            let is_store = a.kind == AccessKind::Store;
-            match s.groups.iter_mut().position(|(l, _)| *l == line) {
-                Some(g) => {
-                    s.groups[g].1 |= is_store;
-                    s.group_count[g] += 1;
-                    s.lane_group.push(g);
-                }
-                None => {
-                    s.groups.push((line, is_store));
-                    s.group_count.push(1);
-                    s.lane_group.push(s.groups.len() - 1);
-                }
+            if s.groups.get(g).is_none_or(|grp| grp.line != line) {
+                g = match s.groups.iter().position(|grp| grp.line == line) {
+                    Some(g) => g,
+                    None => {
+                        s.groups.push(LineGroup {
+                            line,
+                            any_store: false,
+                            lanes: 0,
+                        });
+                        s.groups.len() - 1
+                    }
+                };
             }
+            let grp = &mut s.groups[g];
+            grp.any_store |= a.kind == AccessKind::Store;
+            grp.lanes += 1;
+            s.lane_group.push(g as u32);
         }
     }
 
     /// Feasibility check (no mutation of the model) over the line groups in
     /// `s`, with `withheld` MSHRs hidden by fault injection: `None` when
     /// the access fits, else its MSHR deficit as [`would_reject`]
-    /// (Self::would_reject) defines it. Records each group's tag lookup in
-    /// `s.group_info` so the apply pass replays it without re-scanning.
+    /// (Self::would_reject) defines it. Records each group's tag lookup and
+    /// outstanding MSHR in `s.lookups`, for the apply pass to replay.
     fn mshr_deficit(&self, l1: usize, s: &mut WarpScratch, withheld: usize) -> Option<usize> {
         let l1c = &self.l1s[l1];
-        s.group_info.clear();
+        s.lookups.clear();
         let mut fresh_needed = 0usize;
-        for (g, (line, any_store)) in s.groups.iter().enumerate() {
-            let (state, way) = l1c.array.lookup(*line);
-            s.group_info.push((state, way));
-            if state.valid() && (!any_store || state.writable()) {
-                continue;
+        for grp in &s.groups {
+            let (state, way) = l1c.array.lookup(grp.line);
+            let mut found = GroupLookup {
+                state,
+                way,
+                mshr: None,
+            };
+            if !line_hits(state, grp.any_store) {
+                found.mshr = l1c.mshrs.find(grp.line);
+                match found.mshr {
+                    // The entry's target list only grows until it is released.
+                    Some(id) if !l1c.mshrs.can_merge(id, grp.lanes as usize) => return Some(1),
+                    Some(_) => {}
+                    None => fresh_needed += 1,
+                }
             }
-            match l1c.mshrs.find(*line) {
-                // The entry's target list only grows until it is released.
-                Some(id) if !l1c.mshrs.can_merge(id, s.group_count[g] as usize) => return Some(1),
-                Some(_) => {}
-                None => fresh_needed += 1,
-            }
+            s.lookups.push(found);
         }
         let in_use = l1c.mshrs.in_use();
         let free = l1c.mshrs.capacity() - in_use;
@@ -383,6 +506,12 @@ impl MemorySystem {
     /// entry per access in input order). Returns `false` — with `out` left
     /// empty and no state modified — when MSHR resources are exhausted.
     ///
+    /// Group-major: one pass groups the lanes by line, one checks that
+    /// every line group fits, one applies each group (tag touch, then a hit
+    /// or an MSHR allocation/merge that takes the group's request ids as
+    /// one contiguous range), and one walks the lanes in input order for
+    /// the bank-conflict model and writes `out`.
+    ///
     /// # Panics
     ///
     /// Panics if `l1` is out of range or `accesses` is empty.
@@ -397,11 +526,9 @@ impl MemorySystem {
         assert!(l1 < self.l1s.len(), "L1 index out of range");
         out.clear();
 
-        // Borrow the scratch buffers out of `self` so the loops below can
+        // Borrow the scratch buffers out of `self` so the passes below can
         // still use `self` freely; put back (with capacity intact) at exit.
         let mut s = std::mem::take(&mut self.scratch);
-        s.word_delay.clear();
-        s.lane_delay.clear();
         self.group_by_line(accesses, &mut s);
 
         // Fault injection: transiently withhold MSHR entries, forcing
@@ -414,142 +541,180 @@ impl MemorySystem {
             _ => 0,
         };
 
-        let accepted = 'body: {
-            if self.mshr_deficit(l1, &mut s, withheld).is_some() {
+        let deficit = self.mshr_deficit(l1, &mut s, withheld);
+        match deficit {
+            None => self.apply_accepted(now, l1, accesses, &mut s, out),
+            Some(deficit) => {
                 self.stats.rejections.incr();
-                break 'body false;
+                self.l1s[l1].refused_deficit = deficit;
             }
-
-            // Counting sort of access indices by group, so the apply pass
-            // can walk each group's lanes as a slice instead of filtering
-            // the whole warp once per group.
-            s.group_start.clear();
-            s.group_start.push(0);
-            let mut acc = 0u32;
-            for &c in &s.group_count {
-                acc += c;
-                s.group_start.push(acc);
-            }
-            s.group_cursor.clear();
-            s.group_cursor
-                .extend_from_slice(&s.group_start[..s.groups.len()]);
-            s.group_lanes.clear();
-            s.group_lanes.resize(accesses.len(), 0);
-            for (i, &g) in s.lane_group.iter().enumerate() {
-                s.group_lanes[s.group_cursor[g] as usize] = i as u32;
-                s.group_cursor[g] += 1;
-            }
-
-            // Bank queueing: unique words per bank serialize. The delay of
-            // a word is its rank among distinct same-bank words; repeated
-            // words reuse the delay memoized at first appearance.
-            let banks = self.cfg.l1d.banks as u64;
-            let penalty = self.cfg.bank_conflict_penalty;
-            s.bank_count.clear();
-            s.bank_count.resize(self.cfg.l1d.banks, 0);
-            for a in accesses {
-                let word = a.addr / 8;
-                let delay = match s.word_delay.iter().find(|&&(w, _)| w == word) {
-                    Some(&(_, d)) => d,
-                    None => {
-                        let bank = (word % banks) as usize;
-                        let d = s.bank_count[bank] * penalty;
-                        s.bank_count[bank] += 1;
-                        s.word_delay.push((word, d));
-                        d
-                    }
-                };
-                s.lane_delay.push(delay);
-                self.stats.bank_conflict_cycles.add(delay);
-            }
-
-            self.stats.l1d_lane_accesses.add(accesses.len() as u64);
-            // Placeholder entries; every slot is overwritten below because
-            // each access belongs to exactly one line group.
-            out.extend(accesses.iter().map(|a| LaneOutcome {
-                lane: a.lane,
-                outcome: AccessOutcome::Hit {
-                    ready_at: Cycle::ZERO,
-                },
-            }));
-
-            for (g, &(line, any_store)) in s.groups.iter().enumerate() {
-                self.stats.l1d_line_accesses.incr();
-                let state = self.l1s[l1].array.touch(line, s.group_info[g].1);
-                let is_hit = state.valid() && (!any_store || state.writable());
-                let lanes =
-                    &s.group_lanes[s.group_start[g] as usize..s.group_start[g + 1] as usize];
-                if is_hit {
-                    self.stats.l1d_hits.incr();
-                    // Store to E silently upgrades to M.
-                    if any_store && state == MesiState::Exclusive {
-                        self.l1s[l1].array.set_state(line, MesiState::Modified);
-                    }
-                    for &i in lanes {
-                        let i = i as usize;
-                        let ready = now + self.cfg.l1d.hit_latency + s.lane_delay[i];
-                        out[i] = LaneOutcome {
-                            lane: accesses[i].lane,
-                            outcome: AccessOutcome::Hit {
-                                ready_at: Cycle(ready.raw()),
-                            },
-                        };
-                    }
-                    continue;
-                }
-
-                // Miss path.
-                let mshr_id = match self.l1s[l1].mshrs.find(line) {
-                    Some(id) => {
-                        self.stats.l1d_mshr_merges.incr();
-                        if any_store && !self.l1s[l1].mshrs.get(id).exclusive {
-                            // Late upgrade: claim exclusivity now; invalidate
-                            // other sharers through the directory (no extra
-                            // latency charged — the window is a few cycles).
-                            self.l1s[l1].mshrs.set_exclusive(id);
-                            self.invalidate_other_sharers(line, l1);
-                        }
-                        id
-                    }
-                    None => {
-                        self.stats.l1d_misses.incr();
-                        let upgrade = state == MesiState::Shared && any_store;
-                        if upgrade {
-                            self.stats.upgrades.incr();
-                        }
-                        let mut fill_at =
-                            self.process_l2_request(now, l1, line, any_store, upgrade);
-                        if let Some(f) = &mut self.fault {
-                            fill_at += f.fill_jitter();
-                        }
-                        let id = self.l1s[l1].mshrs.allocate(line, any_store, fill_at);
-                        if upgrade {
-                            self.l1s[l1].mshrs.set_upgrade(id);
-                        }
-                        self.events.push(fill_at, (l1, id));
-                        self.l1s[l1].fills.push(fill_at, ());
-                        self.stats.mlp.record(self.events.len() as f64);
-                        id
-                    }
-                };
-                for &i in lanes {
-                    let i = i as usize;
-                    let req = self.fresh_request();
-                    self.l1s[l1].mshrs.add_target(mshr_id, req);
-                    out[i] = LaneOutcome {
-                        lane: accesses[i].lane,
-                        outcome: AccessOutcome::Miss { request: req },
-                    };
-                }
-            }
-            true
-        };
-
-        self.scratch = s;
-        if !accepted {
-            out.clear();
         }
-        accepted
+        self.scratch = s;
+        deficit.is_none()
+    }
+
+    /// How many MSHR releases at L1 `l1` the warp access it last refused
+    /// has to wait for: what [`would_reject`](Self::would_reject) says of
+    /// that access at that moment, or 1 when only fault injection's
+    /// withheld entries explain the refusal (the access would fit; the next
+    /// release forces a fresh draw). Spares the refused caller a second
+    /// grouping and feasibility pass.
+    pub fn refusal_deficit(&self, l1: usize) -> usize {
+        self.l1s[l1].refused_deficit
+    }
+
+    /// The apply and lane passes of an accepted access. Out of line, so
+    /// the refusal path of `warp_access_into` — what a group spinning on
+    /// back-pressure re-runs — stays as small as `would_reject`.
+    #[inline(never)]
+    fn apply_accepted(
+        &mut self,
+        now: Cycle,
+        l1: usize,
+        accesses: &[LaneAccess],
+        s: &mut WarpScratch,
+        out: &mut Vec<LaneOutcome>,
+    ) {
+        s.outcomes.clear();
+        for (&grp, &found) in s.groups.iter().zip(&s.lookups) {
+            s.outcomes.push(GroupOutcome {
+                next_req: self.apply_line_group(now, l1, grp, found),
+                seen_words: 0,
+            });
+        }
+        self.finish_lanes(now, accesses, s, out);
+    }
+
+    /// Applies one accepted line group to L1 `l1`: the LRU/statistics side
+    /// of its tag probe, then either a hit (`None`) or a miss whose lanes
+    /// take the returned request id and its `grp.lanes - 1` successors.
+    fn apply_line_group(
+        &mut self,
+        now: Cycle,
+        l1: usize,
+        grp: LineGroup,
+        found: GroupLookup,
+    ) -> Option<u64> {
+        let LineGroup {
+            line, any_store, ..
+        } = grp;
+        self.stats.l1d_line_accesses.incr();
+        let state = self.l1s[l1].array.touch(line, found.way);
+        if line_hits(state, any_store) {
+            self.stats.l1d_hits.incr();
+            // Store to E silently upgrades to M.
+            if any_store && state == MesiState::Exclusive {
+                self.l1s[l1].array.set_state(line, MesiState::Modified);
+            }
+            return None;
+        }
+
+        // A line that hit in the feasibility pass can still miss here: an
+        // earlier group's L2 eviction back-invalidated it. Its MSHR was
+        // never looked up.
+        let outstanding = if line_hits(found.state, any_store) {
+            self.l1s[l1].mshrs.find(line)
+        } else {
+            found.mshr
+        };
+        let mshr_id = match outstanding {
+            Some(id) => {
+                self.stats.l1d_mshr_merges.incr();
+                if any_store && !self.l1s[l1].mshrs.get(id).exclusive {
+                    // Late upgrade: claim exclusivity now; invalidate
+                    // other sharers through the directory (no extra
+                    // latency charged — the window is a few cycles).
+                    self.l1s[l1].mshrs.set_exclusive(id);
+                    self.invalidate_other_sharers(line, l1);
+                }
+                id
+            }
+            None => {
+                self.stats.l1d_misses.incr();
+                let upgrade = state == MesiState::Shared && any_store;
+                if upgrade {
+                    self.stats.upgrades.incr();
+                }
+                let mut fill_at = self.process_l2_request(now, l1, line, any_store, upgrade);
+                if let Some(f) = &mut self.fault {
+                    fill_at += f.fill_jitter();
+                }
+                let id = self.l1s[l1].mshrs.allocate(line, any_store, fill_at);
+                if upgrade {
+                    self.l1s[l1].mshrs.set_upgrade(id);
+                }
+                self.events.push(fill_at, (l1, id));
+                self.l1s[l1].fills.push(fill_at, ());
+                self.stats.mlp.record(self.events.len() as f64);
+                id
+            }
+        };
+        let l1c = &mut self.l1s[l1];
+        let first = l1c.next_req;
+        l1c.next_req += u64::from(grp.lanes);
+        l1c.mshrs
+            .add_targets(mshr_id, (first..l1c.next_req).map(RequestId));
+        Some(first)
+    }
+
+    /// The lane pass of an accepted access: bank queueing in input order,
+    /// then each lane's outcome from what its line group resolved to.
+    ///
+    /// Unique words per bank serialize: the delay of a word is its rank
+    /// among the distinct same-bank words before it, and a repeated word
+    /// reuses the delay of its first appearance.
+    fn finish_lanes(
+        &mut self,
+        now: Cycle,
+        accesses: &[LaneAccess],
+        s: &mut WarpScratch,
+        out: &mut Vec<LaneOutcome>,
+    ) {
+        let banks = self.cfg.l1d.banks as u64;
+        let penalty = self.cfg.bank_conflict_penalty;
+        let words_per_line = (self.cfg.l1d.line_bytes / 8) as usize;
+        let hit_at = now + self.cfg.l1d.hit_latency;
+        s.bank_count.clear();
+        s.bank_count.resize(self.cfg.l1d.banks, 0);
+        if s.word_delay.len() < s.groups.len() * words_per_line {
+            s.word_delay.resize(s.groups.len() * words_per_line, 0);
+        }
+        let mut conflict_cycles = 0;
+        out.reserve(accesses.len());
+        for (a, &g) in accesses.iter().zip(&s.lane_group) {
+            let resolved = &mut s.outcomes[g as usize];
+            let word = a.addr / 8;
+            let in_line = (word - s.groups[g as usize].line * words_per_line as u64) as usize;
+            let memo = &mut s.word_delay[g as usize * words_per_line + in_line];
+            if resolved.seen_words & (1 << in_line) == 0 {
+                resolved.seen_words |= 1 << in_line;
+                let bank = match self.l1d_bank_mask {
+                    Some(m) => word & m,
+                    None => word % banks,
+                } as usize;
+                *memo = s.bank_count[bank] * penalty;
+                s.bank_count[bank] += 1;
+            }
+            let delay = *memo;
+            conflict_cycles += delay;
+            let outcome = match &mut resolved.next_req {
+                None => AccessOutcome::Hit {
+                    ready_at: hit_at + delay,
+                },
+                Some(next) => {
+                    *next += 1;
+                    AccessOutcome::Miss {
+                        request: RequestId(*next - 1),
+                    }
+                }
+            };
+            out.push(LaneOutcome {
+                lane: a.lane,
+                outcome,
+            });
+        }
+        self.stats.bank_conflict_cycles.add(conflict_cycles);
+        self.stats.l1d_lane_accesses.add(accesses.len() as u64);
     }
 
     /// Handles an L1 miss at the L2/directory, returning the cycle at which
@@ -586,61 +751,48 @@ impl MemorySystem {
                     data_ready = fill;
                 }
             }
-            // Directory actions.
+            // Directory actions (one lookup: the entry borrows only the
+            // directory, so the L1 and L2 arrays stay reachable beside it).
             let entry = self.l2.dir.entry(line).or_default();
-            let owner = entry.owner;
-            if let Some(o) = owner {
-                if o != l1 {
-                    // Dirty/exclusive data may live at the owner: flush it
-                    // through the L2 (probe + line transfer).
-                    self.stats.owner_flushes.incr();
-                    let flushed = self.xbar.transfer(data_ready, line_bytes);
-                    self.stats.crossbar_bytes.add(line_bytes);
-                    data_ready = flushed;
-                    let prev = self.l1s[o].array.peek(line);
-                    if prev == MesiState::Modified {
-                        self.l2.array.set_state(line, MesiState::Modified);
-                        self.stats.l1_writebacks.incr();
-                    }
-                    if exclusive {
-                        self.l1s[o].array.invalidate(line);
-                        self.stats.invalidations.incr();
-                    } else if prev.valid() {
-                        self.l1s[o].array.set_state(line, MesiState::Shared);
-                    }
+            if let Some(o) = entry.owner().filter(|&o| o != l1) {
+                // Dirty/exclusive data may live at the owner: flush it
+                // through the L2 (probe + line transfer).
+                self.stats.owner_flushes.incr();
+                let flushed = self.xbar.transfer(data_ready, line_bytes);
+                self.stats.crossbar_bytes.add(line_bytes);
+                data_ready = flushed;
+                let prev = self.l1s[o].array.peek(line);
+                if prev == MesiState::Modified {
+                    self.l2.array.set_state(line, MesiState::Modified);
+                    self.stats.l1_writebacks.incr();
                 }
-            }
-            // Re-borrow after the L1 mutation above.
-            let entry = self.l2.dir.entry(line).or_default();
-            if let Some(o) = owner {
-                if o != l1 {
-                    if exclusive {
-                        entry.sharers &= !(1 << o);
-                    }
-                    entry.owner = None;
+                if exclusive {
+                    self.l1s[o].array.invalidate(line);
+                    self.stats.invalidations.incr();
+                    entry.sharers.remove(o);
+                } else if prev.valid() {
+                    self.l1s[o].array.set_state(line, MesiState::Shared);
                 }
+                entry.owner = None;
             }
             if exclusive {
-                let sharers = entry.sharers & !(1 << l1);
-                entry.sharers = 1 << l1;
-                entry.owner = Some(l1);
-                if sharers != 0 {
+                let sharers = entry.sharers.without(l1);
+                entry.sharers = Sharers::only(l1);
+                entry.set_owner(l1);
+                if !sharers.is_empty() {
                     // Invalidate remaining sharers (control messages).
-                    for o in 0..self.l1s.len() {
-                        if sharers & (1 << o) != 0 {
-                            self.l1s[o].array.invalidate(line);
-                            self.stats.invalidations.incr();
-                        }
+                    for o in sharers.iter() {
+                        self.l1s[o].array.invalidate(line);
+                        self.stats.invalidations.incr();
                     }
                     let inv_done = self.xbar.transfer(tag_done, CTRL_MSG_BYTES);
                     self.stats.crossbar_bytes.add(CTRL_MSG_BYTES);
                     data_ready = data_ready.max(inv_done);
                 }
             } else {
-                let e = self.l2.dir.entry(line).or_default();
-                e.sharers |= 1 << l1;
-                if e.owner == Some(l1) {
-                    e.owner = None;
+                entry.sharers.insert(l1);
+                if entry.owner() == Some(l1) {
+                    entry.owner = None;
                 }
             }
         } else {
@@ -664,8 +816,8 @@ impl MemorySystem {
             }
             self.l2.inflight.insert(line, fill);
             let e = self.l2.dir.entry(line).or_default();
-            e.sharers = 1 << l1;
-            e.owner = Some(l1); // sole copy: E (or M on a store)
+            e.sharers = Sharers::only(l1);
+            e.set_owner(l1); // sole copy: E (or M on a store)
             data_ready = fill;
         }
         // Prune stale in-flight records.
@@ -688,20 +840,16 @@ impl MemorySystem {
     /// already-outstanding shared request).
     fn invalidate_other_sharers(&mut self, line: u64, keeper: usize) {
         if let Some(e) = self.l2.dir.get_mut(&line) {
-            let others = e.sharers & !(1 << keeper);
-            e.sharers = 1 << keeper;
-            e.owner = Some(keeper);
-            if others != 0 {
-                for o in 0..self.l1s.len() {
-                    if others & (1 << o) != 0 {
-                        let prev = self.l1s[o].array.invalidate(line);
-                        self.stats.invalidations.incr();
-                        if prev == MesiState::Modified {
-                            self.stats.l1_writebacks.incr();
-                            if self.l2.array.peek(line).valid() {
-                                self.l2.array.set_state(line, MesiState::Modified);
-                            }
-                        }
+            let others = e.sharers.without(keeper);
+            e.sharers = Sharers::only(keeper);
+            e.set_owner(keeper);
+            for o in others.iter() {
+                let prev = self.l1s[o].array.invalidate(line);
+                self.stats.invalidations.incr();
+                if prev == MesiState::Modified {
+                    self.stats.l1_writebacks.incr();
+                    if self.l2.array.peek(line).valid() {
+                        self.l2.array.set_state(line, MesiState::Modified);
                     }
                 }
             }
@@ -713,14 +861,12 @@ impl MemorySystem {
     fn evict_l2_line(&mut self, now: Cycle, line: u64, l2_state: MesiState) {
         let entry = self.l2.dir.remove(&line).unwrap_or_default();
         let mut dirty = l2_state == MesiState::Modified;
-        for o in 0..self.l1s.len() {
-            if entry.sharers & (1 << o) != 0 {
-                let prev = self.l1s[o].array.invalidate(line);
-                self.stats.invalidations.incr();
-                if prev == MesiState::Modified {
-                    dirty = true;
-                    self.stats.l1_writebacks.incr();
-                }
+        for o in entry.sharers.iter() {
+            let prev = self.l1s[o].array.invalidate(line);
+            self.stats.invalidations.incr();
+            if prev == MesiState::Modified {
+                dirty = true;
+                self.stats.l1_writebacks.incr();
             }
         }
         self.l2.inflight.remove(&line);
@@ -760,8 +906,8 @@ impl MemorySystem {
             let state = if entry.exclusive {
                 MesiState::Modified
             } else {
-                let sharers = self.l2.dir.get(&line).map(|e| e.sharers).unwrap_or(0);
-                if sharers & !(1 << l1) == 0 {
+                let sharers = self.l2.dir.get(&line).map(|e| e.sharers);
+                if sharers.unwrap_or_default().without(l1).is_empty() {
                     MesiState::Exclusive
                 } else {
                     MesiState::Shared
@@ -769,8 +915,8 @@ impl MemorySystem {
             };
             if entry.exclusive {
                 if let Some(e) = self.l2.dir.get_mut(&line) {
-                    e.owner = Some(l1);
-                    e.sharers |= 1 << l1;
+                    e.set_owner(l1);
+                    e.sharers.insert(l1);
                 }
             }
             let present = self.l1s[l1].array.peek(line).valid();
@@ -780,13 +926,12 @@ impl MemorySystem {
             } else if let Some(victim) = self.l1s[l1].array.fill(line, state) {
                 self.handle_l1_eviction(at, l1, victim.line_addr, victim.state);
             }
-            for req in entry.targets.drain(..) {
-                out.push(Completion {
-                    l1,
-                    request: req,
-                    at,
-                });
-            }
+            out.extend(
+                entry
+                    .targets
+                    .drain(..)
+                    .map(|request| Completion { l1, request, at }),
+            );
             self.l1s[l1].mshrs.recycle_targets(entry.targets);
         }
     }
@@ -801,8 +946,8 @@ impl MemorySystem {
             }
         }
         if let Some(e) = self.l2.dir.get_mut(&line) {
-            e.sharers &= !(1 << l1);
-            if e.owner == Some(l1) {
+            e.sharers.remove(l1);
+            if e.owner() == Some(l1) {
                 e.owner = None;
             }
         }
@@ -1158,6 +1303,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.would_reject(0, &[load(2, 0x20_0010)]), Some(1));
         assert!(m.warp_access(t, 0, &[load(2, 0x20_0010)]).is_none());
+        assert_eq!(m.refusal_deficit(0), 1, "the refusal carries its deficit");
         assert_eq!(m.stats().rejections.get(), 1);
     }
 
@@ -1198,5 +1344,348 @@ mod tests {
             trace
         };
         assert_eq!(run(), run());
+    }
+
+    /// Regression: the directory's sharer set used to be a `u32` indexed by
+    /// `1 << l1`, so on a 64-WPU machine L1 40 aliased L1 8 (release) or
+    /// panicked (debug).
+    #[test]
+    fn sharers_past_32_l1s_do_not_alias() {
+        let mut m = MemorySystem::new(MemConfig::paper(64, 16));
+        let addr = 0x4200;
+        // L1 8 and L1 40 (8 + 32) both read the line.
+        m.warp_access(Cycle(0), 8, &[load(0, addr)]).unwrap();
+        let t = complete_all(&mut m)[0].at;
+        m.warp_access(t, 40, &[load(0, addr)]).unwrap();
+        let t = complete_all(&mut m)[0].at;
+        assert_eq!(m.l1_line_state(8, addr), MesiState::Shared);
+        assert_eq!(
+            m.l1_line_state(40, addr),
+            MesiState::Shared,
+            "a fill beside a live copy must not be granted Exclusive"
+        );
+        // L1 40 stores: the upgrade must invalidate L1 8's copy — and find
+        // L1 40's own bit, not mistake it for L1 8's.
+        let before = m.stats();
+        m.warp_access(t, 40, &[store(0, addr)]).unwrap();
+        complete_all(&mut m);
+        assert_eq!(m.stats().upgrades.get(), 1);
+        assert_eq!(
+            m.stats().invalidations.get(),
+            before.invalidations.get() + 1
+        );
+        assert_eq!(m.l1_line_state(8, addr), MesiState::Invalid);
+        assert_eq!(m.l1_line_state(40, addr), MesiState::Modified);
+        // And L1 8 reading it back finds the owner at 40, not at itself.
+        let t = m.next_completion_at().unwrap_or(t + 1_000);
+        m.warp_access(t, 8, &[load(0, addr)]).unwrap();
+        complete_all(&mut m);
+        assert_eq!(
+            m.stats().owner_flushes.get(),
+            before.owner_flushes.get() + 1
+        );
+        assert_eq!(m.l1_line_state(40, addr), MesiState::Shared);
+        assert_eq!(m.l1_line_state(8, addr), MesiState::Shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer sets")]
+    fn more_l1s_than_sharer_bits_rejected() {
+        MemorySystem::new(MemConfig::paper(129, 16));
+    }
+
+    /// The multi-pass coalescer the group-major one replaced, kept as the
+    /// differential reference: counting sort of lanes by line group, a
+    /// placeholder-filled `out`, and a linear search over the distinct words
+    /// for the bank model.
+    fn warp_access_reference(
+        m: &mut MemorySystem,
+        now: Cycle,
+        l1: usize,
+        accesses: &[LaneAccess],
+        out: &mut Vec<LaneOutcome>,
+    ) -> bool {
+        out.clear();
+        let mut groups: Vec<(u64, bool)> = Vec::new();
+        let mut lane_group = Vec::new();
+        let mut group_count: Vec<usize> = Vec::new();
+        for a in accesses {
+            let line = m.line_of(a.addr);
+            let is_store = a.kind == AccessKind::Store;
+            let g = match groups.iter().position(|&(l, _)| l == line) {
+                Some(g) => g,
+                None => {
+                    groups.push((line, false));
+                    group_count.push(0);
+                    groups.len() - 1
+                }
+            };
+            groups[g].1 |= is_store;
+            group_count[g] += 1;
+            lane_group.push(g);
+        }
+        let withheld = match &mut m.fault {
+            Some(f) if m.l1s[l1].mshrs.in_use() > 0 => f.mshr_withhold(),
+            _ => 0,
+        };
+        // Feasibility.
+        let mut group_way = Vec::new();
+        let mut fresh_needed = 0usize;
+        let mut refused = false;
+        for (g, &(line, any_store)) in groups.iter().enumerate() {
+            let (state, way) = m.l1s[l1].array.lookup(line);
+            group_way.push(way);
+            if state.valid() && (!any_store || state.writable()) {
+                continue;
+            }
+            match m.l1s[l1].mshrs.find(line) {
+                Some(id) if !m.l1s[l1].mshrs.can_merge(id, group_count[g]) => {
+                    refused = true;
+                    break;
+                }
+                Some(_) => {}
+                None => fresh_needed += 1,
+            }
+        }
+        let free = m.l1s[l1].mshrs.capacity() - m.l1s[l1].mshrs.in_use();
+        if refused || fresh_needed > free.saturating_sub(withheld) {
+            m.stats.rejections.incr();
+            return false;
+        }
+        // Bank queueing, in input order.
+        let banks = m.cfg.l1d.banks as u64;
+        let mut word_delay: Vec<(u64, u64)> = Vec::new();
+        let mut bank_count = vec![0u64; m.cfg.l1d.banks];
+        let mut lane_delay = Vec::new();
+        for a in accesses {
+            let word = a.addr / 8;
+            let delay = match word_delay.iter().find(|&&(w, _)| w == word) {
+                Some(&(_, d)) => d,
+                None => {
+                    let bank = (word % banks) as usize;
+                    let d = bank_count[bank] * m.cfg.bank_conflict_penalty;
+                    bank_count[bank] += 1;
+                    word_delay.push((word, d));
+                    d
+                }
+            };
+            lane_delay.push(delay);
+            m.stats.bank_conflict_cycles.add(delay);
+        }
+        m.stats.l1d_lane_accesses.add(accesses.len() as u64);
+        out.extend(accesses.iter().map(|a| LaneOutcome {
+            lane: a.lane,
+            outcome: AccessOutcome::Hit {
+                ready_at: Cycle::ZERO,
+            },
+        }));
+        for (g, &(line, any_store)) in groups.iter().enumerate() {
+            let lanes = (0..accesses.len()).filter(|&i| lane_group[i] == g);
+            m.stats.l1d_line_accesses.incr();
+            let state = m.l1s[l1].array.touch(line, group_way[g]);
+            if state.valid() && (!any_store || state.writable()) {
+                m.stats.l1d_hits.incr();
+                if any_store && state == MesiState::Exclusive {
+                    m.l1s[l1].array.set_state(line, MesiState::Modified);
+                }
+                for i in lanes {
+                    out[i].outcome = AccessOutcome::Hit {
+                        ready_at: now + m.cfg.l1d.hit_latency + lane_delay[i],
+                    };
+                }
+                continue;
+            }
+            let mshr_id = match m.l1s[l1].mshrs.find(line) {
+                Some(id) => {
+                    m.stats.l1d_mshr_merges.incr();
+                    if any_store && !m.l1s[l1].mshrs.get(id).exclusive {
+                        m.l1s[l1].mshrs.set_exclusive(id);
+                        m.invalidate_other_sharers(line, l1);
+                    }
+                    id
+                }
+                None => {
+                    m.stats.l1d_misses.incr();
+                    let upgrade = state == MesiState::Shared && any_store;
+                    if upgrade {
+                        m.stats.upgrades.incr();
+                    }
+                    let mut fill_at = m.process_l2_request(now, l1, line, any_store, upgrade);
+                    if let Some(f) = &mut m.fault {
+                        fill_at += f.fill_jitter();
+                    }
+                    let id = m.l1s[l1].mshrs.allocate(line, any_store, fill_at);
+                    if upgrade {
+                        m.l1s[l1].mshrs.set_upgrade(id);
+                    }
+                    m.events.push(fill_at, (l1, id));
+                    m.l1s[l1].fills.push(fill_at, ());
+                    m.stats.mlp.record(m.events.len() as f64);
+                    id
+                }
+            };
+            for i in lanes {
+                let req = RequestId(m.l1s[l1].next_req);
+                m.l1s[l1].next_req += 1;
+                m.l1s[l1].mshrs.add_target(mshr_id, req);
+                out[i].outcome = AccessOutcome::Miss { request: req };
+            }
+        }
+        true
+    }
+
+    /// Random warp accesses into two identical machines, one through the
+    /// group-major coalescer and one through the reference: every outcome,
+    /// request id, completion and counter must agree.
+    #[test]
+    fn group_major_coalescer_matches_the_multi_pass_reference() {
+        use dws_engine::rng::Rng64;
+        let squeeze = FaultPlan::mshr_squeeze(5);
+        let plans = [FaultPlan::NONE, squeeze, FaultPlan::full_chaos(9)];
+        let mut rejections = 0;
+        let mut merges = 0;
+        for seed in 0..24u64 {
+            let mut rng = Rng64::new(seed);
+            let mut cfg = MemConfig::paper(3, 16);
+            // A nearly full MSHR file, short target lists, odd bank counts,
+            // and (some seeds) an L2 so small that its evictions
+            // back-invalidate lines between the coalescer's passes.
+            cfg.l1d.mshrs = [3, 6, 32][seed as usize % 3];
+            // (A target list must hold one access's lanes: 16 at least.)
+            cfg.l1d.mshr_targets = [16, 20, 32][(seed as usize / 3) % 3];
+            cfg.l1d.banks = [16, 12, 1][(seed as usize / 2) % 3];
+            cfg.l1d.line_bytes = [128, 64][seed as usize % 2];
+            if seed % 4 == 3 {
+                cfg.l2 = cfg.l2.with_size(16 * 128).with_assoc(2);
+                // Such a line turns from hit to miss after the feasibility
+                // pass counted the MSHRs; leave room for it.
+                cfg.l1d.mshrs = 32;
+            }
+            let mut new = MemorySystem::new(cfg);
+            let mut old = MemorySystem::new(cfg);
+            let plan = plans[seed as usize % 3];
+            new.set_fault_plan(plan);
+            old.set_fault_plan(plan);
+            let (mut out_new, mut out_old) = (Vec::new(), Vec::new());
+            let mut now = Cycle(0);
+            for step in 0..600 {
+                now += rng.range_usize(40) as u64;
+                let l1 = rng.range_usize(3);
+                // 1 to 16 lines out of a small shared pool (so the three
+                // L1s hold them S/E/M between them), words repeating.
+                let n_lines = 1 + rng.range_usize(16);
+                let base = rng.range_usize(48) as u64;
+                let store_frac = [0.0, 0.3, 1.0][rng.range_usize(3)];
+                let accesses: Vec<LaneAccess> = (0..1 + rng.range_usize(16))
+                    .map(|lane| LaneAccess {
+                        lane,
+                        addr: (base + rng.range_usize(n_lines) as u64) * 128
+                            + 8 * rng.range_usize(4) as u64
+                            + rng.range_usize(8) as u64,
+                        kind: if rng.chance(store_frac) {
+                            AccessKind::Store
+                        } else {
+                            AccessKind::Load
+                        },
+                    })
+                    .collect();
+                let what = format!("seed {seed} step {step}");
+                assert_eq!(
+                    new.would_reject(l1, &accesses),
+                    old.would_reject(l1, &accesses),
+                    "{what}"
+                );
+                let ok = new.warp_access_into(now, l1, &accesses, &mut out_new);
+                let expect = warp_access_reference(&mut old, now, l1, &accesses, &mut out_old);
+                assert_eq!(ok, expect, "{what}: accepted");
+                if !ok {
+                    // What a fresh probe says, or 1 for a refusal only the
+                    // fault plan's withheld MSHRs explain.
+                    let probed = old.would_reject(l1, &accesses).unwrap_or(1);
+                    assert_eq!(new.refusal_deficit(l1), probed, "{what}: deficit");
+                }
+                assert_eq!(out_new, out_old, "{what}: outcomes");
+                assert_eq!(new.stats(), old.stats(), "{what}: stats");
+                assert_eq!(
+                    new.drain_completions(now),
+                    old.drain_completions(now),
+                    "{what}: completions"
+                );
+                for i in 0..3 {
+                    assert_eq!(new.mshr_in_use(i), old.mshr_in_use(i), "{what}");
+                    let (a, b) = (new.l1_array_stats(i), old.l1_array_stats(i));
+                    assert_eq!(
+                        (a.hits.get(), a.misses.get(), a.evictions.get()),
+                        (b.hits.get(), b.misses.get(), b.evictions.get()),
+                        "{what}: L1 {i} array"
+                    );
+                }
+            }
+            assert_eq!(new.crossbar_queue_cycles(), old.crossbar_queue_cycles());
+            assert_eq!(new.dram_queue_cycles(), old.dram_queue_cycles());
+            rejections += new.stats().rejections.get();
+            merges += new.stats().l1d_mshr_merges.get();
+        }
+        assert!(rejections > 100, "only {rejections} rejections exercised");
+        assert!(merges > 100, "only {merges} MSHR merges exercised");
+    }
+
+    /// A line that hits in the feasibility pass can miss in the apply pass:
+    /// an earlier group's L2 fill evicts it from the inclusive L2, which
+    /// back-invalidates the L1 copy. Both coalescers must then find (or
+    /// find absent) the line's MSHR at that point, not before.
+    #[test]
+    fn line_back_invalidated_between_passes_matches_the_reference() {
+        // 8 L2 sets x 2 ways: lines 8, 16 and 24 share set 0.
+        let mut cfg = MemConfig::paper(2, 16);
+        cfg.l2 = cfg.l2.with_size(16 * 128).with_assoc(2);
+        let line = |n: u64| n * 128;
+        for upgrade_in_flight in [false, true] {
+            let run = |reference: bool| {
+                let mut m = MemorySystem::new(cfg);
+                let mut out = Vec::new();
+                let mut access = |m: &mut MemorySystem, now, l1, acc: &[LaneAccess]| {
+                    let ok = if reference {
+                        warp_access_reference(m, now, l1, acc, &mut out)
+                    } else {
+                        m.warp_access_into(now, l1, acc, &mut out)
+                    };
+                    assert!(ok);
+                    out.clone()
+                };
+                access(&mut m, Cycle(0), 0, &[load(0, line(8))]);
+                let mut t = complete_all(&mut m)[0].at;
+                if upgrade_in_flight {
+                    // Both L1s share line 8; L1 0's store leaves an upgrade
+                    // MSHR outstanding on its still-valid Shared copy.
+                    access(&mut m, t, 1, &[load(0, line(8))]);
+                    t = complete_all(&mut m)[0].at;
+                    access(&mut m, t, 0, &[store(0, line(8))]);
+                }
+                // Line 16 becomes the set's most recent, line 8 its victim.
+                access(&mut m, t, 1, &[load(0, line(16))]);
+                let probe = [load(0, line(24)), load(1, line(8))];
+                assert_eq!(m.would_reject(0, &probe), None);
+                assert!(m.l1_line_state(0, line(8)).valid(), "a hit going in");
+                let outcomes = access(&mut m, t + 1, 0, &probe);
+                assert!(
+                    matches!(outcomes[1].outcome, AccessOutcome::Miss { .. }),
+                    "line 24's fill evicted line 8 under the access"
+                );
+                let mut done = Vec::new();
+                while m.pending_fills() > 0 {
+                    done.extend(complete_all(&mut m));
+                }
+                (outcomes, done, m.stats())
+            };
+            let (new, old) = (run(false), run(true));
+            assert_eq!(new, old, "upgrade in flight: {upgrade_in_flight}");
+            let merges = new.2.l1d_mshr_merges.get();
+            assert_eq!(
+                merges,
+                u64::from(upgrade_in_flight),
+                "merged iff an MSHR was out"
+            );
+        }
     }
 }

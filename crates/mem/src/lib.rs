@@ -28,7 +28,7 @@ pub use cache::{CacheArray, CacheStats, Evicted, MesiState};
 pub use config::{CacheConfig, MemConfig};
 pub use hierarchy::{
     AccessKind, AccessOutcome, Completion, LaneAccess, LaneOutcome, MemStats, MemorySystem,
-    RequestId,
+    RequestId, MAX_L1S,
 };
 pub use link::{Crossbar, Dram};
 pub use mshr::{MshrFile, MshrId};

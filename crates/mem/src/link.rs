@@ -10,22 +10,57 @@
 //! far in the future before it schedules the next request "now"), while
 //! still enforcing the paper's 57 GB/s crossbar and 16 GB/s memory-bus
 //! limits under load.
+//!
+//! # The epoch ring
+//!
+//! The buckets live in a dense ring: `ring[i]` is the bytes consumed in
+//! epoch `base + i`, so finding a transfer's bucket is a subtraction and a
+//! spill walks adjacent words. Invariants:
+//!
+//! - every epoch in `base..base + ring.len()` has a slot; an epoch outside
+//!   that range has consumed nothing (the ring grows at either end on
+//!   demand, zero-filled, and `base` is re-anchored whenever it is empty);
+//! - `present` is the number of non-zero slots — the epochs a sparse map
+//!   would hold an entry for;
+//! - a slot never exceeds the epoch capacity.
+//!
+//! Old epochs are forgotten by one rule, which callers' timing depends on
+//! and which any replacement must reproduce exactly: after a transfer
+//! submitted at `now`, *if more than 4096 epochs (`PRUNE_ABOVE`) are present*,
+//! every epoch before `now / 32 - 64` is dropped. A transfer submitted
+//! into a dropped epoch afterwards sees it empty. Pruning eagerly (on every
+//! transfer) is not equivalent: a response scheduled thousands of cycles
+//! ahead under DRAM queueing would drop epochs that requests submitted
+//! "now" still have to queue in (it changes cycles on 32-WPU machines).
+//! Under steady traffic the ring therefore holds between ~64 and
+//! ~4096 words plus the look-ahead of the furthest response;
+//! sparse traffic leaves zero words between its epochs, and the ring
+//! spans them (3.5 k to 13 k words, 28 to 104 KB, across the eight
+//! kernels at bench scale; the sorted vector held up to 64 KB).
 
 use dws_engine::stats::Counter;
 use dws_engine::Cycle;
+use std::collections::VecDeque;
 
 /// Cycles per bandwidth-accounting epoch.
 const EPOCH_CYCLES: u64 = 32;
+
+/// Epochs with traffic a link remembers before it prunes.
+const PRUNE_ABOVE: usize = 4096;
+
+/// Epochs behind the submitting transfer a prune keeps.
+const PRUNE_KEEP: u64 = 64;
 
 /// A bandwidth-limited, fixed-latency link.
 #[derive(Debug, Clone)]
 pub struct Link {
     latency: u64,
     bytes_per_cycle: u64,
-    /// Epoch index -> bytes consumed, sorted by epoch. Live epochs number
-    /// in the dozens, so a binary-searched vector beats a tree (or hash)
-    /// on this once-per-transfer path.
-    buckets: Vec<(u64, u64)>,
+    /// Bytes consumed per epoch, from epoch `base` (see the module docs).
+    ring: VecDeque<u64>,
+    base: u64,
+    /// Non-zero slots of `ring`.
+    present: usize,
     /// Transfers performed.
     pub transfers: Counter,
     /// Bytes moved.
@@ -46,11 +81,29 @@ impl Link {
         Link {
             latency,
             bytes_per_cycle,
-            buckets: Vec::new(),
+            ring: VecDeque::new(),
+            base: 0,
+            present: 0,
             transfers: Counter::new(),
             bytes_moved: Counter::new(),
             queue_cycles: Counter::new(),
         }
+    }
+
+    /// Ring index of `epoch`, growing the ring (zero-filled) to cover it.
+    fn slot(&mut self, epoch: u64) -> usize {
+        if self.ring.is_empty() {
+            self.base = epoch;
+        }
+        while epoch < self.base {
+            self.ring.push_front(0);
+            self.base -= 1;
+        }
+        let i = (epoch - self.base) as usize;
+        while self.ring.len() <= i {
+            self.ring.push_back(0);
+        }
+        i
     }
 
     /// Schedules a transfer of `bytes` submitted at `now`; returns the cycle
@@ -59,35 +112,26 @@ impl Link {
         self.transfers.incr();
         self.bytes_moved.add(bytes);
         let cap = EPOCH_CYCLES * self.bytes_per_cycle;
-        let mut epoch = now.raw() / EPOCH_CYCLES;
-        let mut remaining = bytes;
-        let mut last_epoch = epoch;
-        let mut last_used = 0u64;
-        // Position of `epoch` in the sorted bucket list; consecutive epochs
-        // continue from here without re-searching. Submissions are nearly
-        // monotonic, so check the tail before binary-searching.
-        let mut pos = match self.buckets.last() {
-            None => 0,
-            Some(&(e, _)) if epoch > e => self.buckets.len(),
-            Some(&(e, _)) if epoch == e => self.buckets.len() - 1,
-            _ => self.buckets.partition_point(|&(e, _)| e < epoch),
-        };
-        while remaining > 0 {
-            if self.buckets.get(pos).map(|&(e, _)| e) != Some(epoch) {
-                self.buckets.insert(pos, (epoch, 0));
-            }
-            let used = &mut self.buckets[pos].1;
-            let avail = cap.saturating_sub(*used);
-            if avail > 0 {
-                let take = avail.min(remaining);
+        let first = now.raw() / EPOCH_CYCLES;
+        // The last epoch the transfer drew from, and its fill level after.
+        let (mut last_epoch, mut last_used) = (first, 0);
+        if bytes > 0 {
+            let mut remaining = bytes;
+            let mut i = self.slot(first);
+            loop {
+                let used = &mut self.ring[i];
+                let take = cap.saturating_sub(*used).min(remaining);
+                self.present += usize::from(*used == 0 && take > 0);
                 *used += take;
                 remaining -= take;
-                last_epoch = epoch;
-                last_used = *used;
-            }
-            if remaining > 0 {
-                epoch += 1;
-                pos += 1;
+                if remaining == 0 {
+                    (last_epoch, last_used) = (self.base + i as u64, *used);
+                    break;
+                }
+                i += 1;
+                if i == self.ring.len() {
+                    self.ring.push_back(0);
+                }
             }
         }
         // Uncontended completion plus any contention spill.
@@ -97,11 +141,15 @@ impl Link {
         );
         let done = ideal_done.max(bucket_done);
         self.queue_cycles.add(done - ideal_done);
-        // Prune ancient epochs; submission times are (nearly) monotonic.
-        if self.buckets.len() > 4096 {
-            let cutoff = (now.raw() / EPOCH_CYCLES).saturating_sub(64);
-            let keep_from = self.buckets.partition_point(|&(e, _)| e < cutoff);
-            self.buckets.drain(..keep_from);
+        if self.present > PRUNE_ABOVE {
+            let cutoff = first.saturating_sub(PRUNE_KEEP);
+            while self.base < cutoff {
+                let Some(used) = self.ring.pop_front() else {
+                    break;
+                };
+                self.present -= usize::from(used != 0);
+                self.base += 1;
+            }
         }
         done + self.latency
     }
@@ -149,6 +197,157 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dws_engine::rng::Rng64;
+
+    /// The sorted-vector link the ring replaced, kept as the differential
+    /// reference: epoch -> bytes consumed, binary-searched, pruned by the
+    /// rule the module docs state.
+    struct SortedVecLink {
+        latency: u64,
+        bytes_per_cycle: u64,
+        buckets: Vec<(u64, u64)>,
+        queue_cycles: u64,
+    }
+
+    impl SortedVecLink {
+        fn new(latency: u64, bytes_per_cycle: u64) -> Self {
+            SortedVecLink {
+                latency,
+                bytes_per_cycle,
+                buckets: Vec::new(),
+                queue_cycles: 0,
+            }
+        }
+
+        fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
+            let cap = EPOCH_CYCLES * self.bytes_per_cycle;
+            let mut epoch = now.raw() / EPOCH_CYCLES;
+            let mut remaining = bytes;
+            let mut last_epoch = epoch;
+            let mut last_used = 0u64;
+            let mut pos = self.buckets.partition_point(|&(e, _)| e < epoch);
+            while remaining > 0 {
+                if self.buckets.get(pos).map(|&(e, _)| e) != Some(epoch) {
+                    self.buckets.insert(pos, (epoch, 0));
+                }
+                let used = &mut self.buckets[pos].1;
+                let avail = cap.saturating_sub(*used);
+                if avail > 0 {
+                    let take = avail.min(remaining);
+                    *used += take;
+                    remaining -= take;
+                    last_epoch = epoch;
+                    last_used = *used;
+                }
+                if remaining > 0 {
+                    epoch += 1;
+                    pos += 1;
+                }
+            }
+            let ideal_done = now + bytes.div_ceil(self.bytes_per_cycle);
+            let bucket_done = Cycle(
+                last_epoch * EPOCH_CYCLES
+                    + last_used.div_ceil(self.bytes_per_cycle).min(EPOCH_CYCLES),
+            );
+            let done = ideal_done.max(bucket_done);
+            self.queue_cycles += done - ideal_done;
+            if self.buckets.len() > 4096 {
+                let cutoff = (now.raw() / EPOCH_CYCLES).saturating_sub(64);
+                let keep_from = self.buckets.partition_point(|&(e, _)| e < cutoff);
+                self.buckets.drain(..keep_from);
+            }
+            done + self.latency
+        }
+    }
+
+    /// Drives the same submission stream into the ring and the reference;
+    /// every arrival time and the queueing total must agree. Returns the
+    /// number of prunes the stream caused.
+    fn assert_ring_matches_reference(
+        latency: u64,
+        bytes_per_cycle: u64,
+        stream: impl IntoIterator<Item = (u64, u64)>,
+    ) -> usize {
+        let mut ring = Link::new(latency, bytes_per_cycle);
+        let mut reference = SortedVecLink::new(latency, bytes_per_cycle);
+        let mut prunes = 0;
+        for (n, (now, bytes)) in stream.into_iter().enumerate() {
+            let before = reference.buckets.len();
+            let expect = reference.transfer(Cycle(now), bytes);
+            prunes += usize::from(reference.buckets.len() + 64 < before);
+            let got = ring.transfer(Cycle(now), bytes);
+            assert_eq!(got, expect, "transfer {n}: {bytes} B at {now}");
+            assert_eq!(ring.queue_cycles.get(), reference.queue_cycles);
+            assert_eq!(ring.present, reference.buckets.len(), "transfer {n}");
+            assert_eq!(ring.transfers.get(), n as u64 + 1);
+        }
+        prunes
+    }
+
+    #[test]
+    fn ring_matches_sorted_vector_on_jittered_streams() {
+        // Requests "now", responses up to a few thousand cycles ahead,
+        // occasional stragglers behind: the hierarchy's submission pattern.
+        for seed in 0..8 {
+            let mut rng = Rng64::new(seed);
+            // Offered load stays under the bandwidth (about 16 B/cycle), so
+            // the backlog — and the walk over it — stays short; saturation
+            // has its own test below.
+            let bpc = [20, 57, 64][seed as usize % 3];
+            let mut clock = 5_000u64;
+            let stream: Vec<(u64, u64)> = (0..20_000)
+                .map(|_| {
+                    clock += rng.range_usize(12) as u64;
+                    let now = match rng.range_usize(10) {
+                        0 => clock - rng.range_usize(3_000) as u64,
+                        1..=3 => clock + rng.range_usize(4_000) as u64,
+                        _ => clock,
+                    };
+                    (now, [8, 128, 128, 0, 200][rng.range_usize(5)])
+                })
+                .collect();
+            assert_ring_matches_reference(seed, bpc, stream);
+        }
+    }
+
+    #[test]
+    fn ring_matches_sorted_vector_under_saturation_spill() {
+        // 4 B/cycle against bursts of lines: transfers spill tens of epochs
+        // ahead of their submission and later ones walk the full stretch.
+        let mut rng = Rng64::new(99);
+        let mut clock = 0u64;
+        let stream: Vec<(u64, u64)> = (0..5_000)
+            .map(|_| {
+                if rng.chance(0.02) {
+                    clock += rng.range_usize(20_000) as u64;
+                }
+                (clock + rng.range_usize(64) as u64, 128)
+            })
+            .collect();
+        assert_ring_matches_reference(0, 4, stream);
+    }
+
+    #[test]
+    fn ring_reproduces_the_prune_rule() {
+        // One transfer per epoch until more than 4096 are present, some
+        // submitted far ahead (so a prune's cutoff passes epochs that later,
+        // earlier-stamped transfers come back to) and some behind the
+        // cutoff (which must find their epoch forgotten).
+        let mut rng = Rng64::new(7);
+        let stream: Vec<(u64, u64)> = (0..30_000u64)
+            .map(|n| {
+                let clock = n * EPOCH_CYCLES;
+                let now = match rng.range_usize(8) {
+                    0 => clock + rng.range_usize(200) as u64 * EPOCH_CYCLES,
+                    1 => clock.saturating_sub(rng.range_usize(300) as u64 * EPOCH_CYCLES),
+                    _ => clock,
+                };
+                (now, 1_500)
+            })
+            .collect();
+        let prunes = assert_ring_matches_reference(4, 57, stream);
+        assert!(prunes >= 5, "only {prunes} prunes exercised");
+    }
 
     #[test]
     fn uncontended_transfer_is_latency_plus_occupancy() {

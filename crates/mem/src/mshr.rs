@@ -83,10 +83,6 @@ impl MshrFile {
     /// Panics if the file is full (callers must check [`MshrFile::has_free`])
     /// or if the line already has an entry.
     pub fn allocate(&mut self, line_addr: u64, exclusive: bool, fill_at: Cycle) -> MshrId {
-        assert!(
-            self.find(line_addr).is_none(),
-            "line {line_addr:#x} already has an MSHR"
-        );
         // Lowest free index, matching MshrId assignment from the original
         // full scan of the entry array.
         let slot = self
@@ -99,7 +95,10 @@ impl MshrFile {
             })
             .expect("MSHR file full; check has_free() first");
         self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.line_map.insert(line_addr, slot);
+        assert!(
+            self.line_map.insert(line_addr, slot).is_none(),
+            "line {line_addr:#x} already has an MSHR"
+        );
         self.entries[slot] = Some(MshrEntry {
             line_addr,
             exclusive,
@@ -121,6 +120,18 @@ impl MshrFile {
         let e = self.get_mut(id);
         assert!(e.targets.len() < max, "MSHR target list overflow");
         e.targets.push(req);
+    }
+
+    /// Adds a run of requests to an entry's target list, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target list overflows (check [`MshrFile::can_merge`]).
+    pub fn add_targets(&mut self, id: MshrId, reqs: impl IntoIterator<Item = RequestId>) {
+        let max = self.max_targets;
+        let e = self.get_mut(id);
+        e.targets.extend(reqs);
+        assert!(e.targets.len() <= max, "MSHR target list overflow");
     }
 
     /// Marks an entry as needing exclusive ownership (a store merged in).

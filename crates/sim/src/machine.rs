@@ -23,6 +23,11 @@ pub struct Machine {
     completions: Vec<dws_mem::Completion>,
 }
 
+/// Element-wise sum of two per-WPU tallies.
+fn add3(a: [u64; 3], b: [u64; 3]) -> [u64; 3] {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+}
+
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
@@ -168,6 +173,18 @@ impl Machine {
         // iteration, so a legitimately long memory stall cannot trip it —
         // only a dense retire-free spin (livelock) can.
         let livelock_window = config.effective_livelock_window();
+        // Machine-wide live threads, barrier arrivals and retired warp
+        // instructions. Only a tick (or the barrier release) moves a WPU's
+        // share, so each is re-summed from the WPUs that ticked, not from
+        // all of them every iteration.
+        let tally = |w: &Wpu| {
+            [
+                w.live_threads(),
+                w.barrier_waiting(),
+                w.stats.warp_insts.get(),
+            ]
+        };
+        let [mut live, mut waiting, mut insts] = m.wpus.iter().map(tally).fold([0; 3], add3);
         let mut last_insts = 0u64;
         let mut quiet_iters = 0u64;
         let host_deadline = config
@@ -195,7 +212,12 @@ impl Machine {
                 if lag > 0 {
                     m.wpus[i].account_skipped_stall(lag, m.last_class[i]);
                 }
+                let before = tally(&m.wpus[i]);
                 let t = m.wpus[i].tick(now, &mut m.mem, &mut m.data);
+                let after = tally(&m.wpus[i]);
+                live = live - before[0] + after[0];
+                waiting = waiting - before[1] + after[1];
+                insts = insts - before[2] + after[2];
                 m.last_class[i] = t;
                 charged[i] = now + 1;
                 wake[i] = match t {
@@ -211,8 +233,6 @@ impl Machine {
             // Global barrier: release once every live thread has arrived.
             // Arrival counts only change when a WPU ticks, so checking on
             // processed cycles is exhaustive.
-            let live: u64 = m.wpus.iter().map(Wpu::live_threads).sum();
-            let waiting: u64 = m.wpus.iter().map(Wpu::barrier_waiting).sum();
             if live > 0 && waiting == live {
                 for (i, w) in m.wpus.iter_mut().enumerate() {
                     w.release_barrier(now);
@@ -220,12 +240,17 @@ impl Machine {
                         wake[i] = Some(now + 1);
                     }
                 }
+                waiting = 0;
             }
+            debug_assert_eq!(
+                [live, waiting, insts],
+                m.wpus.iter().map(tally).fold([0; 3], add3),
+                "run-loop tallies drifted at {now}"
+            );
             m.now += 1;
-            if m.done() {
+            if live == 0 {
                 break;
             }
-            let insts: u64 = m.wpus.iter().map(|w| w.stats.warp_insts.get()).sum();
             if insts != last_insts {
                 last_insts = insts;
                 quiet_iters = 0;
@@ -264,18 +289,16 @@ impl Machine {
             if any_busy {
                 continue;
             }
-            // Sleep until the earliest per-WPU event: a cached group wake
-            // or a fill bound for that WPU's L1. Adaptation boundaries only
+            // Sleep until the earliest event: a WPU's cached group wake or
+            // the next fill (which wakes its own WPU when it is delivered,
+            // so the machine-wide earliest is all the loop needs here).
+            // Adaptation boundaries only
             // clamp the sleep — they are deliberately *not* progress
             // events: an adapt tick alone never wakes a group, so a machine
             // whose only future cycles are adapt boundaries is just as
             // deadlocked as one with none.
-            let mut next: Option<Cycle> = None;
-            for (i, &w) in wake.iter().enumerate() {
-                for c in [w, m.mem.next_completion_at_l1(i)].into_iter().flatten() {
-                    next = Some(next.map_or(c, |x: Cycle| x.min(c)));
-                }
-            }
+            let wakes = wake.iter().flatten().copied();
+            let next = wakes.chain(m.mem.next_completion_at()).min();
             let Some(next) = next else {
                 return Err(SimError::Deadlock {
                     cycles: m.now.raw(),

@@ -160,7 +160,15 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown scale '{other}'")),
                 };
             }
-            "--wpus" => o.wpus = val()?.parse().map_err(|e| format!("--wpus: {e}"))?,
+            "--wpus" => {
+                o.wpus = val()?.parse().map_err(|e| format!("--wpus: {e}"))?;
+                if !(1..=dws::mem::MAX_L1S).contains(&o.wpus) {
+                    let max = dws::mem::MAX_L1S;
+                    return Err(format!(
+                        "--wpus: 1 to {max} (one L1 each, {max} sharers a line)"
+                    ));
+                }
+            }
             "--width" => o.width = val()?.parse().map_err(|e| format!("--width: {e}"))?,
             "--warps" => o.warps = val()?.parse().map_err(|e| format!("--warps: {e}"))?,
             "--slots" => o.slots = Some(val()?.parse().map_err(|e| format!("--slots: {e}"))?),
@@ -767,6 +775,13 @@ fn run_asm(path: &str, threads: u64, mem_kb: u64, opts: &[String]) -> Result<(),
     let mut cfg = config(&o, o.policy.unwrap_or_else(dws::core::Policy::dws_revive));
     let per_wpu = (o.width * o.warps) as u64;
     cfg.n_wpus = (threads.div_ceil(per_wpu)).max(1) as usize;
+    if cfg.n_wpus > dws::mem::MAX_L1S {
+        return Err(CliError::Other(format!(
+            "{threads} threads need {} WPUs; the machine has at most {}",
+            cfg.n_wpus,
+            dws::mem::MAX_L1S
+        )));
+    }
     cfg.mem.n_l1s = cfg.n_wpus;
     let r = dws::sim::Machine::run(&cfg, &spec).map_err(CliError::Sim)?;
     println!(
