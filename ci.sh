@@ -5,6 +5,35 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# named_tests [--exact] <cargo test args...> -- <test names...>
+# A guard that names its tests. `cargo test -- <names>` exits 0 with
+# "running 0 tests" when a name matches nothing — which is all a renamed or
+# moved test looks like — so this fails unless at least as many tests
+# passed as names were given.
+named_tests() {
+  local exact=() cargo_args=() out passed
+  if [[ $1 == --exact ]]; then
+    exact=(--exact)
+    shift
+  fi
+  while [[ $1 != -- ]]; do
+    cargo_args+=("$1")
+    shift
+  done
+  shift
+  if ! out=$(cargo test -q --release --offline "${cargo_args[@]}" -- "${exact[@]}" "$@" 2>&1); then
+    echo "$out"
+    return 1
+  fi
+  passed=$(grep -Eo '[0-9]+ passed' <<<"$out" | awk '{ n += $1 } END { print n + 0 }')
+  if ((passed < $#)); then
+    echo "$out"
+    echo "named guard: $# tests named, only $passed passed: $*" >&2
+    return 1
+  fi
+  echo "$passed passed of $# named (${cargo_args[*]})"
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -62,17 +91,21 @@ cargo test -q --release --offline -p dws-sim --test event_equivalence
 cargo test -q --release --offline -p dws-core --test random_policies
 # Sleeping through MSHR back-pressure: run = step = phased ticks where
 # refusals outnumber instructions, certificate oracle forced on.
-cargo test -q --release --offline -p dws-sim --test event_equivalence -- --exact \
+named_tests --exact -p dws-sim --test event_equivalence -- \
   backpressure_sleep_matches_step backpressure_sleep_matches_phased_ticks
 # The indexes on a memory instruction's path against the scans and
 # multi-pass code they replaced (kept as test-only references): the Link
 # epoch ring vs the sorted vector, the group-major coalescer vs the
 # multi-pass one.
-cargo test -q --release --offline -p dws-mem --lib -- \
+named_tests -p dws-mem --lib -- \
   ring_matches_sorted_vector ring_reproduces_the_prune_rule \
   group_major_coalescer_matches_the_multi_pass_reference \
   line_back_invalidated_between_passes_matches_the_reference \
   sharers_past_32_l1s_do_not_alias
+# The SIMD-group table on its own: random verb sequences, every counter,
+# ring, heap minimum and slot set re-derived from a slab scan each step.
+named_tests -p dws-core --lib -- \
+  random_verb_sequences_keep_every_index_equal_to_a_slab_scan
 # Recorded goldens: cycles and every counter of 8 kernels x 3 policies x
 # {4, 32} WPUs must match the checked-in table bit for bit.
 cargo test -q --release --offline -p dws-sim --test golden_fingerprints

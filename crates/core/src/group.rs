@@ -1,6 +1,16 @@
 //! SIMD groups: full warps and warp-splits, treated uniformly by the
 //! scheduler (paper Section 4.2: "Warp-splits are independent scheduling
 //! entities and are treated equally as warps").
+//!
+//! The groups of a WPU live in a [`GroupTable`] ([`table`]), which also owns
+//! every scheduling index over them. A group's `status`, `ready_at` and
+//! `slotted` are what those indexes are keyed on, so they are private to
+//! this module: readable anywhere through the accessors, writable only by
+//! the table's verbs, which re-index as they write.
+
+pub mod table;
+
+pub use table::GroupTable;
 
 use crate::mask::Mask;
 use crate::warp::Frame;
@@ -46,10 +56,10 @@ pub struct Group {
     pub pc: usize,
     /// Active threads.
     pub mask: Mask,
-    /// Scheduling status.
-    pub status: GroupStatus,
-    /// Earliest cycle the group may issue again.
-    pub ready_at: Cycle,
+    /// Scheduling status (indexed: written through [`GroupTable`] only).
+    status: GroupStatus,
+    /// Earliest cycle the group may issue again (indexed).
+    ready_at: Cycle,
     /// Private serialization frames for in-split branch divergence.
     pub local_stack: Vec<Frame>,
     /// Re-convergence PC of the group's innermost *local* region, if it is
@@ -60,8 +70,8 @@ pub struct Group {
     /// Slip: whether completed fall-behind threads may run independently to
     /// catch up (set when the run-ahead stalls at a branch/barrier/halt).
     pub slip_catchup: bool,
-    /// Whether the group occupies a scheduler slot.
-    pub slotted: bool,
+    /// Whether the group occupies a scheduler slot (indexed).
+    slotted: bool,
     /// Creation sequence, for deterministic slot promotion and merging.
     pub seq: u64,
     /// Retired uniform-*spine* branches (see
@@ -101,9 +111,48 @@ impl Group {
         }
     }
 
+    /// Scheduling status.
+    #[inline]
+    pub fn status(&self) -> GroupStatus {
+        self.status
+    }
+
+    /// Earliest cycle the group may issue again.
+    #[inline]
+    pub fn ready_at(&self) -> Cycle {
+        self.ready_at
+    }
+
+    /// Whether the group occupies a scheduler slot.
+    #[inline]
+    pub fn slotted(&self) -> bool {
+        self.slotted
+    }
+
     /// Whether the group can issue at `now`.
+    #[inline]
     pub fn issuable(&self, now: Cycle) -> bool {
         self.slotted && self.status == GroupStatus::Ready && self.ready_at <= now
+    }
+
+    /// Pops local serialization frames (conventional semantics) until one
+    /// with live threads is adopted as the group's PC, mask and local
+    /// re-convergence point. Frames whose threads all halted — or were
+    /// carved away by a memory-divergence split — are skipped. Returns
+    /// `false` when the local context drained instead: the group continues
+    /// where it is, at the outer level, with its current mask.
+    pub fn adopt_local_frame(&mut self, halted: Mask) -> bool {
+        while let Some(f) = self.local_stack.pop() {
+            let live = f.mask - halted;
+            if !live.is_empty() {
+                self.pc = f.pc;
+                self.local_rpc = f.rpc;
+                self.mask = live;
+                return true;
+            }
+        }
+        self.local_rpc = None;
+        false
     }
 
     /// Whether two groups' private serialization contexts line up

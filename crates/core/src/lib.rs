@@ -38,7 +38,7 @@ pub mod warp;
 pub mod wpu;
 pub mod wst;
 
-pub use group::{Group, GroupId, GroupStatus};
+pub use group::{Group, GroupId, GroupStatus, GroupTable};
 pub use mask::Mask;
 pub use policy::{BranchHandling, DwsConfig, MemSplit, Policy, ReconvMode, SlipConfig};
 pub use regfile::RegFile;

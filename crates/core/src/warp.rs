@@ -52,8 +52,6 @@ pub struct Warp {
     /// `threads[l].pending` is `Some`, so "which lanes arrived?" is one
     /// mask operation instead of a walk over the thread slots.
     pub pending_mask: Mask,
-    /// Number of live SIMD groups currently representing this warp.
-    pub group_count: usize,
 }
 
 impl Warp {
@@ -77,7 +75,6 @@ impl Warp {
             }],
             halted: Mask::EMPTY,
             pending_mask: Mask::EMPTY,
-            group_count: 0,
         }
     }
 
@@ -94,6 +91,20 @@ impl Warp {
     /// the current region must account for when re-converging.
     pub fn tos_live_mask(&self) -> Mask {
         self.tos().mask - self.halted
+    }
+
+    /// Pops re-convergence frames (conventional semantics) until the new
+    /// top has live threads, returning its PC and those threads; `None`
+    /// once only the root is left and every thread under it has halted.
+    pub fn pop_to_live_frame(&mut self) -> Option<(usize, Mask)> {
+        while self.stack.len() > 1 {
+            self.stack.pop();
+            let live = self.tos_live_mask();
+            if !live.is_empty() {
+                return Some((self.tos().pc, live));
+            }
+        }
+        None
     }
 
     /// Whether all threads have terminated.

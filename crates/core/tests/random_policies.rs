@@ -10,8 +10,10 @@
 //! in debug each scheduler pick is checked against the slab scan and each
 //! µop against the per-lane interpreter, in situ: a fast-path bug fails at
 //! the offending pick / pc / lane instead of as a shifted fingerprint.
-//! Alternate seeds are also driven through the `tick_compute` /
-//! `tick_commit` split, which must be indistinguishable from `tick`.
+//! `Wpu::tick` is `tick_compute` then, when that suspends, `tick_commit`;
+//! alternate seeds issue those two calls from out here instead, the way
+//! the benchmark's traced driver does, which pins that an external
+//! two-call driver is indistinguishable from `tick`.
 
 mod common;
 
@@ -28,9 +30,9 @@ use std::sync::Arc;
 type RunFingerprint = (VecMemory, u64, [u64; 7]);
 
 /// Runs the program on a sanitized 2-warp, 8-wide WPU under `policy`,
-/// ticking through [`Wpu::tick`] or — with `split` — through
-/// [`Wpu::tick_compute`] followed, when it suspends, by
-/// [`Wpu::tick_commit`]. Also returns the uniform-branch fast-path count.
+/// ticking through [`Wpu::tick`] or — with `split` — by calling
+/// [`Wpu::tick_compute`] and, when it suspends, [`Wpu::tick_commit`]
+/// itself. Also returns the uniform-branch fast-path count.
 fn run_policy(
     program: &Arc<Program>,
     policy: Policy,

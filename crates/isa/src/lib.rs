@@ -74,6 +74,6 @@ pub use meld::{find_candidates, meld, MeldApplied, MeldCandidate, MeldOutcome, M
 pub use predecode::{ExecOp, Src};
 pub use program::Program;
 pub use verify::{
-    branch_uniformity, uniform_branches, BranchUniformity, Diagnostic, DwsLintCode, Severity,
-    VerifyOptions, VerifyReport, VerifyStats,
+    branch_uniformity, BranchUniformity, Diagnostic, DwsLintCode, Severity, VerifyOptions,
+    VerifyReport, VerifyStats,
 };

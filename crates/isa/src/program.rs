@@ -3,8 +3,9 @@
 use crate::cfg::{BranchInfo, Cfg};
 use crate::inst::{Inst, Operand, Reg};
 use crate::predecode::{predecode, ExecOp};
-use crate::verify::{self, VerifyOptions, VerifyReport, VerifyStats};
+use crate::verify::{self, BranchUniformity, VerifyOptions, VerifyReport, VerifyStats};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A validated, analyzed kernel program.
 ///
@@ -24,6 +25,10 @@ pub struct Program {
     num_regs: u16,
     /// Aggregate facts from the build-time verification run.
     stats: VerifyStats,
+    /// [`Program::branch_uniformity`], computed on first use: building a
+    /// kernel does not pay for it, and the WPUs sharing one program pay
+    /// for it once between them.
+    uniformity: OnceLock<BranchUniformity>,
 }
 
 impl Program {
@@ -64,6 +69,7 @@ impl Program {
             branch_info,
             num_regs,
             stats: report.stats,
+            uniformity: OnceLock::new(),
         })
     }
 
@@ -113,6 +119,16 @@ impl Program {
         self.branch_info.get(pc).and_then(|b| b.as_ref())
     }
 
+    /// Which conditional branches are provably warp-uniform, and which of
+    /// those sit on the uniform spine ([`verify::branch_uniformity`] of this
+    /// program's instructions) — what the WPU's uniform-branch fast path
+    /// reads.
+    #[inline]
+    pub fn branch_uniformity(&self) -> &BranchUniformity {
+        self.uniformity
+            .get_or_init(|| verify::branch_uniformity(&self.insts))
+    }
+
     /// Number of architectural registers each thread context needs.
     pub fn num_regs(&self) -> u16 {
         self.num_regs
@@ -134,6 +150,8 @@ impl Program {
             branch_info,
             num_regs: self.num_regs,
             stats: report.stats,
+            // A property of the instructions alone.
+            uniformity: self.uniformity.clone(),
         }
     }
 

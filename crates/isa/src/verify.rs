@@ -593,7 +593,7 @@ pub(crate) fn compute_varying(insts: &[Inst], num_regs: u16) -> Vec<bool> {
 
 /// Per-PC branch uniformity classification consumed by the WPU scheduler
 /// (see [`branch_uniformity`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchUniformity {
     /// `uniform[pc]` — `insts[pc]` is a conditional branch whose condition
     /// is provably warp-uniform: lanes that share the same *uniform-spine
@@ -730,12 +730,6 @@ pub fn branch_uniformity(insts: &[Inst]) -> BranchUniformity {
         .map(|(pc, &u)| u && !divergent_region[cfg.block_of(pc)])
         .collect();
     BranchUniformity { uniform, spine }
-}
-
-/// The `uniform` half of [`branch_uniformity`] (kept for callers that only
-/// need fast-path eligibility).
-pub fn uniform_branches(insts: &[Inst]) -> Vec<bool> {
-    branch_uniformity(insts).uniform
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,20 @@ impl std::fmt::Debug for Machine {
 
 impl Machine {
     /// Builds a machine for `config` loaded with `spec`'s program and data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a warp is wider than an L1-D MSHR's target list. One
+    /// coalesced access hands a fresh MSHR a target per lane, and the
+    /// memory system would only find the list too short mid-run, with the
+    /// access half applied.
     pub fn new(config: &SimConfig, spec: &KernelSpec) -> Machine {
+        assert!(
+            config.width <= config.mem.l1d.mshr_targets,
+            "{}-lane warps overflow the {}-entry target list of an L1-D MSHR (l1d.mshr_targets)",
+            config.width,
+            config.mem.l1d.mshr_targets
+        );
         let program = Arc::clone(&spec.program);
         let threads_per_wpu = (config.width * config.n_warps) as u64;
         let nthreads = config.total_threads();
@@ -435,6 +448,26 @@ mod tests {
             }
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    /// A warp wider than an MSHR's target list is refused up front, naming
+    /// both numbers — it used to die mid-run on `MSHR target list overflow`
+    /// at the first fully coalesced miss, the L2 and MSHR file already
+    /// mutated.
+    #[test]
+    #[should_panic(expected = "16-lane warps overflow the 8-entry target list")]
+    fn warps_wider_than_an_mshr_target_list_are_rejected_up_front() {
+        // Every lane of a warp loads the same (cold) line.
+        let mut b = KernelBuilder::new();
+        let a = b.reg();
+        b.li(a, 0);
+        b.load(a, a, 0);
+        b.halt();
+        let program = b.build().unwrap();
+        let spec = KernelSpec::new("coalesced-load", program, VecMemory::new(64), |_| Ok(()));
+        let mut cfg = SimConfig::paper(Policy::conventional()).with_wpus(1);
+        cfg.mem.l1d.mshr_targets = 8;
+        let _ = Machine::run(&cfg, &spec);
     }
 
     #[test]

@@ -88,9 +88,12 @@ fn run_matches_step_on_paper_machine() {
     assert_equivalent(&run, &step, "filter on the 4-WPU paper machine");
 }
 
-/// `Machine::run`'s loop restated over the public API, each tick issued as
-/// `tick_compute` then (when it suspends) `tick_commit` — what the
-/// benchmark's traced driver does, so a core change that driver cannot
+/// `Machine::run`'s loop restated outside the crate over the public API,
+/// issuing each tick as the two calls `Wpu::tick` is made of —
+/// `tick_compute`, then (when it suspends) `tick_commit`. The core runs
+/// the same code either way; what this pins is the external driver (wake
+/// times, skipped-stall accounting, completion routing), which is what
+/// the benchmark's traced driver is, so a core change that driver cannot
 /// reproduce fails here before it fails in `benchmark/`.
 fn assert_phased_run_matches(cfg: &SimConfig, spec: &dws_kernels::KernelSpec, r: &RunResult) {
     use dws_core::{TickClass, Wpu, WpuConfig};

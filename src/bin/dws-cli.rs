@@ -169,7 +169,18 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     ));
                 }
             }
-            "--width" => o.width = val()?.parse().map_err(|e| format!("--width: {e}"))?,
+            "--width" => {
+                o.width = val()?.parse().map_err(|e| format!("--width: {e}"))?;
+                let targets = SimConfig::paper(Policy::conventional())
+                    .mem
+                    .l1d
+                    .mshr_targets;
+                if !(1..=targets).contains(&o.width) {
+                    return Err(format!(
+                        "--width: 1 to {targets} (an L1-D MSHR lists {targets} targets, a lane each)"
+                    ));
+                }
+            }
             "--warps" => o.warps = val()?.parse().map_err(|e| format!("--warps: {e}"))?,
             "--slots" => o.slots = Some(val()?.parse().map_err(|e| format!("--slots: {e}"))?),
             "--wst" => o.wst = val()?.parse().map_err(|e| format!("--wst: {e}"))?,
