@@ -73,12 +73,13 @@ cargo run -q --release --offline --bin dws-cli -- \
 echo "== cargo test (tier-1) =="
 cargo test -q --release --workspace --offline
 
-echo "== cargo test (debug profile: dws-mem, dws-core) =="
+echo "== cargo test (debug profile: dws-mem, dws-core, dws-isa) =="
 # Everything else here runs --release, where integer-overflow checks are
 # off — which is how the directory's `1 << l1` on a u32 sharer mask
-# survived to 64-WPU machines. One debug pass over the two crates that do
-# the bit arithmetic (masks, sharer sets, rings) keeps those checks in CI.
-cargo test -q --offline -p dws-mem -p dws-core
+# survived to 64-WPU machines. One debug pass over the crates that do the
+# bit arithmetic (masks, sharer sets, rings; the verifier's `i128`
+# intervals and register/block bitsets) keeps those checks in CI.
+cargo test -q --offline -p dws-mem -p dws-core -p dws-isa
 
 echo "== tier-1 equivalence guards (named, release) =="
 # The event-driven run loop must stay bit-identical to stepping, and the
@@ -127,9 +128,19 @@ echo "== tier-1 transform-equivalence guards (named, release) =="
 # Static control-flow melding must be semantics-preserving on the timed
 # machine (bit-identity across all policies + chaos plans), profitable
 # under the conventional baseline, and lint-clean; the reusable dataflow
-# framework must agree with the reference def-use fixpoint everywhere.
+# framework must agree with the test-scope reference def-use fixpoint
+# everywhere; and the verifier's divergence counters must be the ones the
+# WPU scheduler runs on (the control-dependence goldens fail under a
+# data-only taint). Named, so a file move cannot silently drop them.
 cargo test -q --release --offline -p dws-sim --test meld_differential
-cargo test -q --release --offline -p dws-isa --test dataflow_differential
+named_tests --exact -p dws-isa --test dataflow_differential -- \
+  framework_defuse_matches_reference_on_all_benchmarks \
+  framework_defuse_matches_reference_on_generated_kernels
+named_tests --exact -p dws-isa --test verify_kernels -- \
+  linter_and_machine_agree_on_branch_uniformity \
+  golden_barrier_under_control_tainted_branch \
+  golden_control_tainted_branch_counts_toward_nesting \
+  golden_irreducible_nesting
 
 echo "== fuzz smoke (differential oracle battery, fixed seeds) =="
 # A short verifier-guided fuzz campaign across every oracle axis (all

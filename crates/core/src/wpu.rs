@@ -217,9 +217,6 @@ impl Wpu {
             cfg.n_warps <= 256,
             "more than 256 warps per WPU unsupported"
         );
-        // Classify the program's branches now (once per program, whichever
-        // WPU comes first), not at the first branch of the run.
-        program.branch_uniformity();
         let mut table = GroupTable::new(cfg.n_warps, cfg.sched_slots, cfg.wst_entries);
         let mut warps = Vec::with_capacity(cfg.n_warps);
         for w in 0..cfg.n_warps {
@@ -672,9 +669,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The branch classification is the program's, computed once however
-    /// many WPUs run it: two WPUs on one program read the same slices, and
-    /// those equal a fresh run of the verifier's pass.
+    /// The branch classification is the program's, stored by its build-time
+    /// verification however many WPUs run it: two WPUs on one program read
+    /// the same slices, and those equal a fresh run of the verifier's
+    /// analysis.
     #[test]
     fn wpus_on_one_program_share_its_branch_uniformity() {
         let program = Arc::new(load_kernel(2));

@@ -1,31 +1,28 @@
 //! Reusable dataflow framework for the kernel IR.
 //!
-//! The verifier ([`crate::verify`]) grew four ad-hoc fixpoint loops —
-//! must/may reaching-definitions, liveness, uniformity tainting, and the
-//! interval abstract interpretation. This module extracts the machinery
-//! those loops share so each analysis states only its *domain* (the fact
-//! lattice) and *transfer* (how a block changes facts), and new analyses —
-//! the control-flow melding pass in [`crate::meld`] needs liveness at join
-//! points, for one — reuse a solver that is tested once.
+//! Each analysis states only its *domain* (the fact lattice) and
+//! *transfer* (how a block changes facts); the iteration lives here, is
+//! tested once, and is the only block-level fixpoint machinery in the
+//! crate. [`crate::verify::Facts`] runs the register-level instances once
+//! per program and every consumer — the verifier's def-use pass, the
+//! melding analysis in [`crate::meld`] — reads the results.
 //!
-//! Three solvers cover the shapes that actually occur:
+//! Two solvers cover the shapes that actually occur:
 //!
 //! * [`solve`] — classic round-robin iteration of a [`BlockProblem`]
 //!   (forward or backward) to its maximal fixpoint. Reaching-definitions
-//!   and liveness are instances ([`ReachingDefs`], [`Liveness`]).
+//!   and liveness are instances ([`ReachingDefs`], [`Liveness`]); the
+//!   verifier's set-based post-dominator recomputation is a third.
 //! * [`solve_flow`] — a LIFO-worklist solver for forward analyses that
 //!   need *per-edge* transfer (branch-condition narrowing) and custom join
 //!   logic (widening): the interval bounds pass is the instance.
-//! * [`fixpoint`] — the degenerate driver for flow-insensitive analyses
-//!   (the uniformity taint) that iterate one global fact to stability.
 //!
-//! The iteration disciplines deliberately mirror the loops they replaced
-//! instruction-for-instruction — `solve` visits blocks in index order
-//! (reverse for backward problems), `solve_flow` pushes edges in the order
-//! the problem emits them — so the framework-based verifier passes produce
-//! *identical* diagnostics to the legacy fixpoints they superseded (pinned
-//! by the `dataflow_differential` test against the retained reference
-//! implementation).
+//! The iteration disciplines are part of the contract — `solve` visits
+//! blocks in index order (reverse for backward problems), `solve_flow`
+//! pushes edges in the order the problem emits them — because widening
+//! decisions, and therefore diagnostics, depend on them. The def-use
+//! instances are pinned against a hand-written pre-framework fixpoint kept
+//! as a test-scope oracle (`tests/dataflow_differential.rs`).
 
 use crate::cfg::Cfg;
 use crate::inst::{Inst, Operand, Reg};
@@ -157,9 +154,9 @@ pub enum Direction {
 ///   unconditionally; its predecessors (back edges into block 0) are *not*
 ///   met in. Every other block's input is the meet over its predecessors'
 ///   outputs, starting from [`BlockProblem::top`].
-/// * `Backward` — every block's input (its out-fact) is the meet over its
-///   successors' results starting from `top`; exit blocks (no successors)
-///   therefore sit at `top`, which doubles as the boundary.
+/// * `Backward` — an exit block's input (its out-fact) is
+///   [`BlockProblem::boundary`]; every other block's is the meet over its
+///   successors' results, starting from `top`.
 pub trait BlockProblem {
     /// The fact lattice element attached to each block.
     type Fact: Clone + PartialEq;
@@ -167,7 +164,8 @@ pub trait BlockProblem {
     /// Which way this problem propagates.
     fn direction(&self) -> Direction;
 
-    /// The fact at the CFG boundary (entry block input, forward only).
+    /// The fact at the CFG boundary: the entry block's input (forward) or
+    /// every exit block's (backward).
     fn boundary(&self) -> Self::Fact;
 
     /// The most optimistic fact: the identity of [`BlockProblem::meet`].
@@ -197,12 +195,6 @@ pub struct BlockFacts<F> {
 /// Round-robin iteration of `p` over `cfg` to its maximal fixpoint.
 pub fn solve<P: BlockProblem>(cfg: &Cfg, p: &P) -> BlockFacts<P::Fact> {
     let nb = cfg.blocks().len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for (bi, b) in cfg.blocks().iter().enumerate() {
-        for &s in &b.succs {
-            preds[s].push(bi);
-        }
-    }
     let mut on_entry: Vec<P::Fact> = vec![p.top(); nb];
     let mut on_exit: Vec<P::Fact> = vec![p.top(); nb];
     let forward = p.direction() == Direction::Forward;
@@ -215,15 +207,20 @@ pub fn solve<P: BlockProblem>(cfg: &Cfg, p: &P) -> BlockFacts<P::Fact> {
             Box::new((0..nb).rev())
         };
         for bi in order {
-            let mut acc = if forward && bi == 0 {
+            let neighbors: &[usize] = if forward {
+                cfg.preds(bi)
+            } else {
+                &cfg.blocks()[bi].succs
+            };
+            let at_boundary = if forward {
+                bi == 0
+            } else {
+                neighbors.is_empty()
+            };
+            let mut acc = if at_boundary {
                 p.boundary()
             } else {
                 let mut acc = p.top();
-                let neighbors: &[usize] = if forward {
-                    &preds[bi]
-                } else {
-                    &cfg.blocks()[bi].succs
-                };
                 for &nb in neighbors {
                     p.meet(&mut acc, &on_exit[nb]);
                 }
@@ -460,13 +457,6 @@ pub fn solve_flow<P: FlowProblem>(nb: usize, p: &mut P) -> Vec<Option<P::State>>
     in_state
 }
 
-/// Iterates `step` until it reports no change: the driver for
-/// flow-insensitive fixpoints (the uniformity taint) whose whole state
-/// lives in the closure's captures.
-pub fn fixpoint(mut step: impl FnMut() -> bool) {
-    while step() {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,19 +590,5 @@ mod tests {
         let states = solve_flow(nb, &mut p);
         assert!(states.iter().all(Option::is_some));
         assert!(p.flows >= nb, "every block flowed at least once");
-    }
-
-    #[test]
-    fn fixpoint_runs_until_stable() {
-        let mut x = 0u32;
-        fixpoint(|| {
-            if x < 5 {
-                x += 1;
-                true
-            } else {
-                false
-            }
-        });
-        assert_eq!(x, 5);
     }
 }

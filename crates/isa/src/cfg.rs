@@ -65,6 +65,8 @@ pub struct Cfg {
     /// Immediate post-dominator of each block (block index), or `None` for
     /// the virtual exit.
     ipdom_block: Vec<Option<usize>>,
+    /// Predecessor blocks of each block, one entry per incoming edge.
+    preds: Vec<Vec<usize>>,
 }
 
 impl Cfg {
@@ -143,10 +145,17 @@ impl Cfg {
             b.succs = succs;
         }
         let ipdom_block = post_dominators(&blocks);
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); blocks.len()];
+        for (bi, b) in blocks.iter().enumerate() {
+            for &s in &b.succs {
+                preds[s].push(bi);
+            }
+        }
         Cfg {
             blocks,
             block_of,
             ipdom_block,
+            preds,
         }
     }
 
@@ -164,6 +173,59 @@ impl Cfg {
     /// from `b` only reaches the virtual exit.
     pub fn ipdom_of_block(&self, b: usize) -> Option<usize> {
         self.ipdom_block[b]
+    }
+
+    /// Predecessor blocks of block `b`, one entry per incoming edge (a
+    /// branch whose target is its own fall-through contributes two).
+    pub fn preds(&self, b: usize) -> &[usize] {
+        &self.preds[b]
+    }
+
+    /// Floods along successor edges: marks every block reachable from a
+    /// block in `from` (those included) without entering `cut`.
+    /// `flood([0], None)` is reachability from the entry;
+    /// `flood(succs of a branch block, its post-dominator)` is the
+    /// branch's *open region* — the blocks executable while its
+    /// re-convergence frame is on the stack.
+    pub fn flood(&self, from: impl IntoIterator<Item = usize>, cut: Option<usize>) -> Vec<bool> {
+        let mut seen = vec![false; self.blocks.len()];
+        let mut stack: Vec<usize> = from.into_iter().collect();
+        while let Some(b) = stack.pop() {
+            if Some(b) != cut && !seen[b] {
+                seen[b] = true;
+                stack.extend(&self.blocks[b].succs);
+            }
+        }
+        seen
+    }
+
+    /// Marks the targets of back edges (an edge into a block still on the
+    /// depth-first stack of a walk from the entry): the blocks where a
+    /// cycle can feed a value back into itself.
+    pub fn back_edge_targets(&self) -> Vec<bool> {
+        let nb = self.blocks.len();
+        let mut target = vec![false; nb];
+        let (white, grey, black) = (0u8, 1u8, 2u8);
+        let mut color = vec![white; nb];
+        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+        color[0] = grey;
+        while let Some(top) = stack.last_mut() {
+            let (u, ei) = *top;
+            if ei < self.blocks[u].succs.len() {
+                top.1 += 1;
+                let v = self.blocks[u].succs[ei];
+                if color[v] == white {
+                    color[v] = grey;
+                    stack.push((v, 0));
+                } else if color[v] == grey {
+                    target[v] = true;
+                }
+            } else {
+                color[u] = black;
+                stack.pop();
+            }
+        }
+        target
     }
 
     /// Computes [`BranchInfo`] for every conditional branch in `insts`,
@@ -426,5 +488,43 @@ mod tests {
         assert_eq!(cfg.block_of(3), 1);
         assert_eq!(cfg.blocks()[0].len(), 3);
         assert!(!cfg.blocks()[0].is_empty());
+    }
+
+    #[test]
+    fn flood_and_back_edges_on_a_loop_in_a_diamond() {
+        // 0: br -> 4   (diamond head)
+        // 1: add       (loop head, fall-through arm)
+        // 2: br -> 1   (loop back edge)
+        // 3: jmp 5
+        // 4: add       (taken arm)
+        // 5: halt      (join)
+        let insts = vec![
+            br(4),
+            add(2),
+            br(1),
+            Inst::Jump { target: 5 },
+            add(3),
+            Inst::Halt,
+        ];
+        let cfg = Cfg::build(&insts);
+        let (head, lp, tail, taken, join) = (0, 1, 2, 3, 4);
+        assert_eq!(cfg.blocks().len(), 5);
+        assert_eq!(cfg.preds(lp), [head, lp]);
+        assert_eq!(cfg.preds(join), [tail, taken]);
+        assert_eq!(cfg.flood([head], None), [true; 5], "all reachable");
+        // The diamond's open region: both arms, the loop included, but
+        // neither the head nor the join it is cut at.
+        let region = cfg.flood(
+            cfg.blocks()[head].succs.iter().copied(),
+            cfg.ipdom_of_block(head),
+        );
+        assert_eq!(cfg.ipdom_of_block(head), Some(join));
+        assert_eq!(region, [false, true, true, true, false]);
+        assert_eq!(cfg.flood([join], Some(join)), [false; 5], "cut seeds too");
+        assert_eq!(
+            cfg.back_edge_targets(),
+            [false, true, false, false, false],
+            "only the loop head; the join's two forward in-edges are not back edges"
+        );
     }
 }

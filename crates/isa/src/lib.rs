@@ -17,7 +17,8 @@
 //!   every scheduling policy computes identical results.
 //! * [`verify`] — a multi-pass static verifier and linter (CFG
 //!   well-formedness, independent re-convergence re-computation, def-use
-//!   dataflow, interval memory bounds, divergence/uniformity) producing
+//!   dataflow, interval memory bounds, divergence/uniformity, melding
+//!   advisory) over one shared fact base ([`verify::Facts`]), producing
 //!   structured [`Diagnostic`]s; error findings reject the program at
 //!   [`Program::from_insts`] time.
 //!

@@ -1,11 +1,11 @@
 //! The compiled kernel program: instructions plus static branch metadata.
 
+use crate::analysis::max_reg;
 use crate::cfg::{BranchInfo, Cfg};
-use crate::inst::{Inst, Operand, Reg};
+use crate::inst::Inst;
 use crate::predecode::{predecode, ExecOp};
-use crate::verify::{self, BranchUniformity, VerifyOptions, VerifyReport, VerifyStats};
+use crate::verify::{self, BranchUniformity, Verified, VerifyOptions, VerifyReport, VerifyStats};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A validated, analyzed kernel program.
 ///
@@ -25,10 +25,9 @@ pub struct Program {
     num_regs: u16,
     /// Aggregate facts from the build-time verification run.
     stats: VerifyStats,
-    /// [`Program::branch_uniformity`], computed on first use: building a
-    /// kernel does not pay for it, and the WPUs sharing one program pay
-    /// for it once between them.
-    uniformity: OnceLock<BranchUniformity>,
+    /// The verification run's branch classification
+    /// ([`Program::branch_uniformity`]).
+    uniformity: BranchUniformity,
 }
 
 impl Program {
@@ -61,15 +60,17 @@ impl Program {
         if report.has_errors() {
             return Err(report);
         }
-        let (_cfg, branch_info) = built.expect("error-free verification builds a CFG");
-        let num_regs = max_reg(&insts) + 1;
+        let Verified {
+            annotations,
+            uniformity,
+        } = built.expect("error-free verification builds a CFG");
         Ok(Program {
             decoded: predecode(&insts),
+            num_regs: max_reg(&insts),
             insts,
-            branch_info,
-            num_regs,
+            branch_info: annotations,
             stats: report.stats,
-            uniformity: OnceLock::new(),
+            uniformity,
         })
     }
 
@@ -120,13 +121,12 @@ impl Program {
     }
 
     /// Which conditional branches are provably warp-uniform, and which of
-    /// those sit on the uniform spine ([`verify::branch_uniformity`] of this
-    /// program's instructions) — what the WPU's uniform-branch fast path
-    /// reads.
+    /// those sit on the uniform spine — the build-time verifier's
+    /// classification ([`verify::Uniformity`]), which is also what the
+    /// WPU's uniform-branch fast path reads.
     #[inline]
     pub fn branch_uniformity(&self) -> &BranchUniformity {
-        self.uniformity
-            .get_or_init(|| verify::branch_uniformity(&self.insts))
+        &self.uniformity
     }
 
     /// Number of architectural registers each thread context needs.
@@ -143,15 +143,14 @@ impl Program {
             ..VerifyOptions::default()
         };
         let (report, built) = verify::verify(&self.insts, &opts);
-        let (_cfg, branch_info) = built.expect("an already-built program stays structurally valid");
+        let built = built.expect("an already-built program stays structurally valid");
         Program {
             insts: self.insts.clone(),
             decoded: self.decoded.clone(),
-            branch_info,
+            branch_info: built.annotations,
             num_regs: self.num_regs,
             stats: report.stats,
-            // A property of the instructions alone.
-            uniformity: self.uniformity.clone(),
+            uniformity: built.uniformity,
         }
     }
 
@@ -206,55 +205,10 @@ impl fmt::Display for Program {
     }
 }
 
-fn op_reg(op: &Operand) -> Option<Reg> {
-    match op {
-        Operand::Reg(r) => Some(*r),
-        _ => None,
-    }
-}
-
-fn max_reg(insts: &[Inst]) -> u16 {
-    let mut m = 1; // r0/r1 always exist (tid, ntid)
-    let mut see = |r: Option<Reg>| {
-        if let Some(Reg(i)) = r {
-            if i > m {
-                m = i;
-            }
-        }
-    };
-    for inst in insts {
-        match inst {
-            Inst::Alu { dst, a, b, .. } | Inst::Set { dst, a, b, .. } => {
-                see(Some(*dst));
-                see(op_reg(a));
-                see(op_reg(b));
-            }
-            Inst::Un { dst, a, .. } => {
-                see(Some(*dst));
-                see(op_reg(a));
-            }
-            Inst::Load { dst, base, .. } => {
-                see(Some(*dst));
-                see(Some(*base));
-            }
-            Inst::Store { src, base, .. } => {
-                see(op_reg(src));
-                see(Some(*base));
-            }
-            Inst::Branch { a, b, .. } => {
-                see(op_reg(a));
-                see(op_reg(b));
-            }
-            Inst::Jump { .. } | Inst::Barrier | Inst::Halt => {}
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, CondOp};
+    use crate::inst::{AluOp, CondOp, Operand, Reg};
 
     #[test]
     fn rejects_empty() {

@@ -9,9 +9,10 @@
 //! post-dominators agree with the `analyze_branches` annotations.
 
 use dws_isa::cfg::{BranchInfo, Cfg, RECONV_NONE};
+use dws_isa::gen::{generate, GenConfig};
 use dws_isa::verify::{verify, verify_annotated};
 use dws_isa::{AluOp, CondOp, DwsLintCode, Inst, Operand, Reg, Severity, VerifyOptions};
-use dws_kernels::{Benchmark, Scale};
+use dws_kernels::{Benchmark, MeldKernel, Scale};
 
 fn add(dst: u16, a: Operand, b: Operand) -> Inst {
     Inst::Alu {
@@ -20,6 +21,11 @@ fn add(dst: u16, a: Operand, b: Operand) -> Inst {
         a,
         b,
     }
+}
+
+/// `dst = v`, from immediates only.
+fn li(dst: u16, v: i64) -> Inst {
+    add(dst, Operand::Imm(v), Operand::Imm(0))
 }
 
 fn br(target: usize) -> Inst {
@@ -173,6 +179,91 @@ fn golden_over_deep_nesting() {
     // The paper's 16-entry WST accommodates the same kernel fine.
     let (report, _) = verify(&insts, &VerifyOptions::default().with_wst_capacity(16));
     assert!(report.find(DwsLintCode::ReconvDepthExceedsWst).is_none());
+}
+
+/// The one way to raise `DWS0204`: two divergent branches inside each
+/// other's open region (both exits of one loop) always share a
+/// post-dominator, so a `Cfg`-derived table puts them in one re-convergence
+/// group; a foreign table that re-converges them at *different* pcs makes
+/// the groups nest cyclically.
+#[test]
+fn golden_irreducible_nesting() {
+    // 0: A: if tid == 0 goto 3 ; 1: B: if tid == 1 goto 3 ; 2: jmp 0 ; 3: halt
+    let insts = vec![
+        br(3),
+        Inst::Branch {
+            cond: CondOp::Eq,
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(1),
+            target: 3,
+        },
+        Inst::Jump { target: 0 },
+        Inst::Halt,
+    ];
+    let cfg = Cfg::build(&insts);
+    let mut annotations = cfg.analyze_branches(&insts);
+    let report = verify_annotated(&insts, &cfg, &annotations, &VerifyOptions::default());
+    assert!(report.find(DwsLintCode::IrreducibleNesting).is_none());
+    assert_eq!(report.stats.divergent_branches, 2);
+    assert_eq!(
+        report.stats.max_divergent_nesting, 1,
+        "one shared reconv pc"
+    );
+    annotations[1].as_mut().expect("branch at pc 1").ipdom = 2; // forge
+    let report = verify_annotated(&insts, &cfg, &annotations, &VerifyOptions::default());
+    let d = report
+        .find(DwsLintCode::IrreducibleNesting)
+        .unwrap_or_else(|| panic!("expected DWS0204, got:\n{report}"));
+    assert_eq!(d.pc, None);
+    assert_eq!(d.severity, Severity::Warning);
+    assert!(d.message.contains("2 distinct"), "{}", d.message);
+    assert_eq!(
+        report.stats.max_divergent_nesting, 2,
+        "capped at the groups"
+    );
+}
+
+/// Control dependence counts: an inner branch on a register the outer
+/// (divergent) arm defined from immediates is itself divergent, and its
+/// re-convergence point nests inside the outer one.
+#[test]
+fn golden_control_tainted_branch_counts_toward_nesting() {
+    let insts = vec![
+        li(2, 0),
+        Inst::Branch {
+            cond: CondOp::Lt,
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(5),
+            target: 6,
+        }, // outer, on tid; joins at 6
+        li(2, 1), // defined under divergence
+        Inst::Branch {
+            cond: CondOp::Eq,
+            a: Operand::Reg(Reg(2)),
+            b: Operand::Imm(1),
+            target: 5,
+        }, // inner, on r2; joins at 5
+        li(2, 2),
+        add(2, Operand::Reg(Reg(2)), Operand::Imm(1)), // inner join (pc 5)
+        Inst::Alu {
+            op: AluOp::Mul,
+            dst: Reg(3),
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(8),
+        }, // outer join (pc 6)
+        Inst::Store {
+            src: Operand::Reg(Reg(2)),
+            base: Reg(3),
+            offset: 0,
+        },
+        Inst::Halt,
+    ];
+    let (report, _) = verify(&insts, &VerifyOptions::default());
+    assert!(!report.has_errors(), "{report}");
+    assert_eq!(report.stats.divergent_branches, 2, "{report}");
+    assert_eq!(report.stats.uniform_branches, 0);
+    assert_eq!(report.stats.max_divergent_nesting, 2);
+    assert_eq!(report.stats.reconv_stack_bound(), 3);
 }
 
 // ---- pass 3: def-use ------------------------------------------------------
@@ -333,6 +424,49 @@ fn golden_barrier_under_divergence() {
         .expect("finding");
     assert_eq!(d.pc, Some(1));
     assert_eq!(d.severity, Severity::Warning);
+}
+
+/// A barrier under a branch on a *control-tainted* register: `r2` is built
+/// from immediates only, but one of its definitions sits inside the open
+/// region of a `tid` branch, so lanes disagree on it — and on whether they
+/// reach the barrier.
+#[test]
+fn golden_barrier_under_control_tainted_branch() {
+    let insts = vec![
+        li(2, 0),
+        Inst::Branch {
+            cond: CondOp::Lt,
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(5),
+            target: 3,
+        },
+        li(2, 1), // only lanes with tid >= 5
+        Inst::Branch {
+            cond: CondOp::Eq,
+            a: Operand::Reg(Reg(2)),
+            b: Operand::Imm(1),
+            target: 5,
+        },
+        Inst::Barrier,
+        Inst::Alu {
+            op: AluOp::Mul,
+            dst: Reg(3),
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(8),
+        },
+        Inst::Store {
+            src: Operand::Reg(Reg(2)),
+            base: Reg(3),
+            offset: 0,
+        },
+        Inst::Halt,
+    ];
+    let (report, _) = verify(&insts, &VerifyOptions::default());
+    let d = report
+        .find(DwsLintCode::BarrierUnderDivergence)
+        .unwrap_or_else(|| panic!("expected DWS0502, got:\n{report}"));
+    assert_eq!(d.pc, Some(4));
+    assert!(d.message.contains("pc 3"), "{}", d.message);
 }
 
 #[test]
@@ -549,5 +683,45 @@ fn recomputed_ipdoms_match_annotations_on_all_kernels() {
                 "{bench} @ {scale:?}:\n{report}"
             );
         }
+    }
+}
+
+/// The linter and the machine read one classification: the verifier's
+/// divergent/uniform counters are exactly what the WPU scheduler's
+/// per-branch `uniform` marks add up to, on every shipped kernel and
+/// scale, both meldable variants, and 200 generated kernels.
+#[test]
+fn linter_and_machine_agree_on_branch_uniformity() {
+    let agree = |what: &str, program: &dws_isa::Program| {
+        let stats = program.verify_stats();
+        let uniform = program.branch_uniformity().uniform.iter();
+        assert_eq!(
+            stats.uniform_branches,
+            uniform.filter(|u| **u).count(),
+            "{what}"
+        );
+        assert_eq!(
+            stats.divergent_branches,
+            stats.branches - stats.uniform_branches,
+            "{what}"
+        );
+    };
+    for bench in Benchmark::ALL {
+        for scale in [Scale::Test, Scale::Bench, Scale::Paper] {
+            agree(
+                &format!("{bench} @ {scale:?}"),
+                &bench.build(scale, 42).program,
+            );
+        }
+    }
+    for kernel in MeldKernel::ALL {
+        agree(kernel.name(), &kernel.build(Scale::Test, 42).program);
+    }
+    let cfg = GenConfig::default();
+    for seed in 0..200u64 {
+        let program = generate(seed, &cfg)
+            .compile()
+            .expect("generated kernels verify");
+        agree(&format!("seed {seed}"), &program);
     }
 }
